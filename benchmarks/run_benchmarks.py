@@ -17,11 +17,11 @@ and its enumeration+classify speedup over the fused single-threaded
 engine is recorded.  With ``--shards N`` the sharded-enumeration path is
 timed too: N real ``repro serve`` subprocesses are spawned and a
 :class:`~repro.service.shard.ShardCoordinator` fans the catalog build
-out over them via ``POST /v1/catalog:shard``, verifying the merged
+out over them via ``POST /v1/catalog:shard:stream``, verifying the merged
 catalog bit-identical to the fused one — a cold row (every cache level
 cleared per repeat) plus a ``shard catalog warm`` row measuring the
 content-addressed shard-partial caches (coordinator-side and
-server-side ``X-Repro-Cache: shard``; zero shard DFS verified).
+server-side ``"cache": "shard"`` stream frames; zero shard DFS verified).
 Multi-core speedup obviously requires multiple cores; the report
 records the machine's CPU count alongside, and ``scripts/diff_bench.py``
 only gates process and cold-shard rows when ``cpus > 1`` (warm-shard
@@ -38,7 +38,7 @@ by ``scripts/diff_bench.py --warm-edit-floor`` on any machine.
 
 Every run also emits the **serve scenario** — a ``serve`` section timing
 concurrent warm submits through one live ``repro serve`` subprocess (the
-default asyncio core): N persistent-connection clients hammer the same
+asyncio core): N persistent-connection clients hammer the same
 result-cached job, and the report records the warm p50/p99 per-request
 latency plus aggregate requests/sec.  ``scripts/diff_bench.py
 --serve-floor`` gates the throughput on full multi-core reports only
@@ -310,7 +310,7 @@ def bench_shards(shards, workloads, repeats_override=None):
         store, so no shard (or DFS) runs at all.  Verified: server-side
         ``shard_misses`` must not move during the warm pass, and a
         *fresh* coordinator over the still-warm servers must have every
-        dispatched partition answered ``X-Repro-Cache: shard``
+        dispatched partition answered by a ``"cache": "shard"`` frame
         (``remote_warm_s`` records that pass).  ``scripts/diff_bench.py``
         gates the warm speedup ≥ ``--warm-shard-floor`` (default 5x).
 
@@ -376,7 +376,7 @@ def bench_shards(shards, workloads, repeats_override=None):
 
                 # A fresh coordinator (cold coordinator-side cache) over
                 # the still-warm servers: every dispatched partition must
-                # come back X-Repro-Cache: shard — zero shard-side DFS.
+                # come back "cache": "shard" — zero shard-side DFS.
                 with ShardCoordinator(urls) as fresh:
                     gc.collect()
                     t0 = time.perf_counter()
@@ -754,7 +754,7 @@ def bench_serve(clients: int = 4, requests_per_client: int = 50,
                 quick: bool = False) -> dict:
     """Warm-submit latency/throughput through a live ``repro serve``.
 
-    Spawns one real server subprocess (the default asyncio core), primes
+    Spawns one real server subprocess (the asyncio core), primes
     the result cache with a cold submit, then ``clients`` threads — each
     holding one persistent keep-alive :class:`ServiceClient` — submit
     the same warm job ``requests_per_client`` times.  Records the warm

@@ -1,32 +1,31 @@
 #!/usr/bin/env python
 """End-to-end HTTP smoke test of the scheduling service (CI gate).
 
-Starts a real ``ServiceServer`` on an ephemeral port, drives it through
-the thin :class:`~repro.service.ServiceClient` exactly like a remote
-caller would, and checks the service contract:
+Starts a real ``AsyncServiceServer`` on an ephemeral port, drives it
+through the thin :class:`~repro.service.ServiceClient` exactly like a
+remote caller would, and checks the service contract:
 
 1. ``/healthz`` answers;
 2. a cold job submit returns a valid, verifiable schedule;
 3. re-submitting the same job is served from the result cache
-   (``X-Repro-Cache: result``) and is bit-identical on the wire;
+   (``X-Repro-Cache: result``), is bit-identical on the wire, and rode
+   the same persistent keep-alive connection;
 4. a batch ``pdef`` sweep dedups and shares one catalog;
 5. a malformed request comes back as a typed HTTP 400, not a stack trace;
 6. the server can act as a remote shard: a catalog built through
-   ``POST /v1/catalog:shard`` partitions merges bit-identical to the
-   in-process fused catalog;
+   streamed ``POST /v1/catalog:shard:stream`` partitions merges
+   bit-identical to the in-process fused catalog;
 7. shard partials are content-addressed: repeating a shard task is
-   answered ``X-Repro-Cache: shard`` with identical buckets, and a fresh
-   coordinator over the warm server rebuilds the catalog bit-identically
-   with zero server-side DFS;
+   answered by a stream frame with ``"cache": "shard"`` and identical
+   buckets, and a fresh coordinator over the warm server rebuilds the
+   catalog bit-identically with zero server-side DFS;
 8. graph edits are incremental: recoloring one node of a submitted job
    through ``POST /v1/jobs:edit`` is answered ``X-Repro-Cache: edit``
    (only dirty partitions re-enumerated) and the answer is bit-identical
    to a fresh server cold-rebuilding the edited graph;
-9. the asyncio core (``AsyncServiceServer``) speaks the same wire
-   protocol: warm submits over one persistent keep-alive connection,
-   streamed shard slots bit-identical to the batched route, per-client
-   quota 429 with ``Retry-After``, and graceful drain (503 for new work,
-   reads keep serving);
+9. per-client quotas answer a typed 429 with ``Retry-After`` once one
+   client's burst is spent, while other clients proceed; a graceful
+   drain then answers 503 for new work while reads keep serving;
 10. the fleet survives losing a shard: with three real ``repro serve``
    subprocesses, SIGKILLing one mid-job must open its circuit breaker,
    fail its partitions over to the survivors, and still merge a catalog
@@ -39,33 +38,20 @@ Usage::
 
 from __future__ import annotations
 
-import errno
 import sys
 
-from repro.service import JobRequest, ServiceClient, ServiceServer
+from repro.service import AsyncServiceServer, JobRequest, ServiceClient
 
-
-def start_server(**kwargs) -> ServiceServer:
-    """A server on an OS-assigned free port (never a fixed one).
-
-    ``port=0`` asks the kernel for a free ephemeral port, so the smoke
-    test cannot collide with another service on a busy CI runner.  A
-    single ``EADDRINUSE`` retry papers over the one race that remains on
-    some platforms (the kernel handing out a port another process grabs
-    between selection and bind).
-    """
-    try:
-        return ServiceServer(port=0, **kwargs)
-    except OSError as exc:
-        if exc.errno != errno.EADDRINUSE:
-            raise
-        return ServiceServer(port=0, **kwargs)
+#: Per-client quota of the main server: a burst no ordinary client of
+#: this script comes near, refilled too slowly to matter, so step 9 can
+#: spend one client's bucket deterministically.
+QUOTA_BURST = 32
 
 
 def main() -> int:
-    server = start_server()
+    server = AsyncServiceServer(port=0, quota_rps=0.1, quota_burst=QUOTA_BURST)
     server.start_background()
-    client = ServiceClient(server.url, timeout=30)
+    client = ServiceClient(server.url, timeout=30, client_id="smoke")
     try:
         health = client.health()
         assert health["status"] == "ok", health
@@ -81,7 +67,11 @@ def main() -> int:
         assert client.last_cache == "result", client.last_cache
         assert warm == cold, "warm HTTP result is not bit-identical"
         assert warm.to_json() == cold.to_json()
-        print("warm submit ok: bit-identical, served from the result cache")
+        # The health check and both submits rode one pooled keep-alive
+        # connection.
+        assert len(client._conns) == 1, len(client._conns)
+        print("warm submit ok: bit-identical, served from the result cache "
+              "over one persistent connection")
 
         sweep = client.submit_many(
             [
@@ -121,8 +111,8 @@ def main() -> int:
         else:
             raise AssertionError("malformed request was accepted")
 
-        # Remote shard: the server classifies seed partitions over HTTP
-        # and the merged catalog is bit-identical to a local fused build.
+        # Remote shard: the server streams classified seed partitions and
+        # the merged catalog is bit-identical to a local fused build.
         from repro.core.config import SelectionConfig
         from repro.core.selection import PatternSelector
         from repro.service import ShardCoordinator
@@ -137,21 +127,20 @@ def main() -> int:
         assert json.dumps(catalog_to_dict(sharded)) == json.dumps(
             catalog_to_dict(reference)
         ), "remote shard catalog is not bit-identical"
-        print("remote shard ok: merged catalog bit-identical to fused")
+        print("remote shard ok: streamed catalog bit-identical to fused")
 
         # Warm shard partials: repeating a shard task must be answered
-        # from the server's content-addressed partial cache
-        # (X-Repro-Cache: shard) with byte-identical buckets.
+        # from the server's content-addressed partial cache (the stream
+        # frame's cache field is "shard") with byte-identical buckets.
         from repro.service import ShardTask
 
         task = ShardTask(
             size=2, span_limit=1, max_count=None, seeds=(0, 1, 2),
             workload="3dft",
         )
-        first_buckets = client.classify_shard(task)
-        cold_level = client.last_cache
-        warm_buckets = client.classify_shard(task)
-        assert client.last_cache == "shard", (cold_level, client.last_cache)
+        ((_, first_buckets, cold_level),) = client.classify_shard_stream([task])
+        ((_, warm_buckets, warm_level),) = client.classify_shard_stream([task])
+        assert warm_level == "shard", (cold_level, warm_level)
         assert warm_buckets == first_buckets, "cached partial differs"
         stats = client.stats()["stats"]
         assert stats["shard_hits"] >= 1, stats
@@ -174,7 +163,7 @@ def main() -> int:
         )
         print(
             f"warm shard ok: {coord_stats.dispatched} partitions served "
-            f"from the partial cache (X-Repro-Cache: shard), zero DFS"
+            f'from the partial cache ("cache": "shard"), zero DFS'
         )
 
         # Edit path: recolor one node of an already-submitted job.  The
@@ -207,7 +196,7 @@ def main() -> int:
         assert client.last_cache == "edit", client.last_cache
         edited_result.schedule.verify()
 
-        fresh = start_server()
+        fresh = AsyncServiceServer(port=0)
         fresh.start_background()
         try:
             fresh_client = ServiceClient(fresh.url, timeout=30)
@@ -218,7 +207,6 @@ def main() -> int:
             assert fresh_client.last_cache == "none", fresh_client.last_cache
         finally:
             fresh.shutdown()
-            fresh.server_close()
         assert (
             edited_result.answer_dict() == cold_edited.answer_dict()
         ), "incremental edit result differs from a cold rebuild"
@@ -226,104 +214,52 @@ def main() -> int:
             f"edit ok: recolor {edit_op.node}->{edit_op.color} served "
             f"X-Repro-Cache: edit, bit-identical to a cold rebuild"
         )
+
+        quota_and_drain(server, client, request)
     finally:
+        client.close()
         server.shutdown()
-        server.server_close()
-    async_leg()
     fault_leg()
     print("http smoke OK")
     return 0
 
 
-def async_leg() -> None:
-    """The same wire contract against the asyncio core, plus what only
-    it offers: persistent-connection reuse, server-push shard streaming,
-    per-client quotas (429 + Retry-After) and graceful drain."""
-    from repro.core.config import SelectionConfig
+def quota_and_drain(
+    server: AsyncServiceServer, client: ServiceClient, request: JobRequest
+) -> None:
+    """Spend one client's quota (typed 429), then drain the server."""
     from repro.exceptions import ServiceOverloadedError, ServiceUnavailableError
-    from repro.exec.process import plan_seed_partitions
-    from repro.service import AsyncServiceServer, ShardTask
-    from repro.workloads import three_point_dft_paper
 
-    server = AsyncServiceServer(port=0, quota_rps=0.1, quota_burst=4)
-    server.start_background()
-    try:
-        client = ServiceClient(server.url, timeout=30, client_id="smoke")
-        with client:
-            health = client.health()
-            assert health["status"] == "ok", health
-            print(f"async healthz ok ({health['backend']}) at {server.url}")
-
-            request = JobRequest(capacity=5, pdef=4, workload="3dft")
-            cold = client.submit(request)
-            cold.schedule.verify()
-            warm = client.submit(request)
-            assert client.last_cache == "result", client.last_cache
-            assert warm == cold
-            # Both submits (and the health check) rode one pooled
-            # keep-alive connection.
-            assert len(client._conns) == 1, len(client._conns)
-            print("async submit ok: warm result bit-identical over one "
-                  "persistent connection")
-
-            # Streamed shard frames carry the same rows as the batched
-            # route, slot for slot.
-            cfg = SelectionConfig(span_limit=1)
-            dfg = three_point_dft_paper()
-            tasks = [
-                ShardTask(
-                    size=5, span_limit=cfg.span_limit, max_count=None,
-                    seeds=tuple(part), workload="3dft",
-                )
-                for part in plan_seed_partitions(dfg, 3)
-            ]
-            batched = client.classify_shard_many(tasks)
-            streamed = {
-                slot: rows
-                for slot, rows, _cache in client.classify_shard_stream(tasks)
-            }
-            assert sorted(streamed) == list(range(len(tasks)))
-            for slot, outcome in enumerate(batched):
-                rows, _cache = outcome
-                assert streamed[slot] == rows, f"slot {slot} differs"
-            print(f"async stream ok: {len(tasks)} streamed slots "
-                  f"bit-identical to the batched route")
-
-            # Burst exhausted → typed 429 with a retry hint; another
-            # client id still gets through.
-            overloaded = None
-            for _ in range(8):
-                try:
-                    client.submit(JobRequest(capacity=5, pdef=3,
-                                             workload="3dft"))
-                except ServiceOverloadedError as exc:
-                    overloaded = exc
-                    break
-            assert overloaded is not None, "quota never tripped"
-            assert overloaded.http_status == 429
-            assert overloaded.retry_after and overloaded.retry_after > 0
-            with ServiceClient(server.url, timeout=30,
-                               client_id="other") as other:
-                other.submit(JobRequest(capacity=5, pdef=3, workload="3dft"))
-            print(f"async quota ok: 429 after burst "
-                  f"(Retry-After {overloaded.retry_after}s), other clients "
-                  f"unaffected")
-
-            # Drain: flush + refuse new work with 503, reads keep serving.
-            info = client.drain()
-            assert info["draining"] is True, info
+    # Burst exhausted → typed 429 with a retry hint; another client id
+    # still gets through.
+    overloaded = None
+    with ServiceClient(server.url, timeout=30, client_id="greedy") as greedy:
+        for _ in range(2 * QUOTA_BURST):
             try:
-                with ServiceClient(server.url, timeout=30) as late:
-                    late.submit(request)
-            except ServiceUnavailableError as exc:
-                assert exc.http_status == 503
-            else:
-                raise AssertionError("drained server accepted work")
-            assert client.health()["status"] == "draining"
-            print(f"async drain ok: flushed {info['flushed']}, new work "
-                  f"answers 503, reads still served")
-    finally:
-        server.shutdown()
+                greedy.submit(request)
+            except ServiceOverloadedError as exc:
+                overloaded = exc
+                break
+    assert overloaded is not None, "quota never tripped"
+    assert overloaded.http_status == 429
+    assert overloaded.retry_after and overloaded.retry_after > 0
+    client.submit(JobRequest(capacity=5, pdef=3, workload="3dft"))
+    print(f"quota ok: 429 after the burst (Retry-After "
+          f"{overloaded.retry_after}s), other clients unaffected")
+
+    # Drain: flush + refuse new work with 503, reads keep serving.
+    info = client.drain()
+    assert info["draining"] is True, info
+    try:
+        with ServiceClient(server.url, timeout=30) as late:
+            late.submit(request)
+    except ServiceUnavailableError as exc:
+        assert exc.http_status == 503
+    else:
+        raise AssertionError("drained server accepted work")
+    assert client.health()["status"] == "draining"
+    print(f"drain ok: flushed {info['flushed']}, new work answers 503, "
+          f"reads still served")
 
 
 def fault_leg() -> None:

@@ -20,24 +20,22 @@ with :class:`~repro.dfg.edit.DfgEdit` operations, and
 subgraph digest the edit actually changed (cache level ``edit``).
 
 Over the wire the same API is ``repro serve`` + :class:`ServiceClient`
-(``docs/WIRE_PROTOCOL.md`` is the normative wire description).  Two
-server cores speak it: the default asyncio core
-(:class:`AsyncServiceServer`, :mod:`repro.service.aio` — persistent
-keep-alive connections, priority scheduling, per-client token-bucket
-quotas, graceful drain, streamed shard responses with heartbeats) and
-the thread-per-connection core (:class:`ServiceServer`,
-:mod:`repro.service.http`).  :class:`ServiceClient` (sync, pooled
-keep-alive connections) and :class:`AsyncServiceClient` (asyncio) are
-interchangeable against either.  Requests and results round-trip
-losslessly through JSON; every failure crosses as the unified error
-envelope (:mod:`repro.service.errors`) and re-raises as its own typed
-exception.
+(``docs/WIRE_PROTOCOL.md`` is the normative wire description).  One
+server core speaks it — :class:`AsyncServiceServer`
+(:mod:`repro.service.aio`: persistent keep-alive connections, priority
+scheduling, per-client token-bucket quotas, graceful drain, streamed
+shard responses with heartbeats) — and one client consumes it:
+:class:`ServiceClient` (:mod:`repro.service.http`, sync, pooled
+keep-alive connections).  Requests and results round-trip losslessly
+through JSON; every failure crosses as the unified error envelope
+(:mod:`repro.service.errors`) and re-raises as its own typed exception.
 
 Scaling seams layered on top:
 
 * :class:`ShardCoordinator` (:mod:`repro.service.shard`) fans the
   catalog build out over shard services — local or remote — and merges
-  bit-identically; remote shards stream partials as they complete;
+  bit-identically; remote shards stream partials as they complete over
+  the one shard route, ``/v1/catalog:shard:stream``;
 * :class:`CacheStore` (:mod:`repro.service.store`) puts the cache
   levels behind pluggable storage; ``cache_dir=...`` persists them to
   disk across restarts and instances;
@@ -56,7 +54,7 @@ Scaling seams layered on top:
   above deterministically.
 """
 
-from repro.service.aio import AsyncServiceClient, AsyncServiceServer
+from repro.service.aio import AsyncServiceServer, serve
 from repro.service.errors import (
     error_envelope,
     error_from_envelope,
@@ -64,7 +62,7 @@ from repro.service.errors import (
     retry_after_of,
 )
 from repro.service.faults import ChaosProxy, FaultPlan, FaultSpec
-from repro.service.http import ServiceClient, ServiceServer, serve
+from repro.service.http import ServiceClient
 from repro.service.jobs import EditRequest, JobRequest, JobResult
 from repro.service.resolve import ExecutionResolution, resolve_execution
 from repro.service.retry import CircuitBreaker, RetryPolicy, is_retryable
@@ -91,8 +89,6 @@ __all__ = [
     "ServiceStats",
     "SubmitOutcome",
     "ServiceClient",
-    "ServiceServer",
-    "AsyncServiceClient",
     "AsyncServiceServer",
     "serve",
     "ExecutionResolution",

@@ -81,8 +81,7 @@ class RetryPolicy:
         Seconds to establish a TCP connection to a shard.
     read_timeout:
         Seconds a single read on an established connection may block
-        (the socket timeout; also the async client's ``wait_for``
-        deadline).
+        (the socket timeout).
     stream_idle_timeout:
         Seconds a shard stream may go without a *slot* frame before the
         client declares it dead — heartbeat frames prove the connection

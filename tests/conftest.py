@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from itertools import combinations
 
 import pytest
@@ -83,6 +84,43 @@ PAPER_TABLE7 = {
 # --------------------------------------------------------------------------- #
 # fixtures
 # --------------------------------------------------------------------------- #
+class _ErrorRecords(logging.Handler):
+    """Collects every ERROR-or-worse record emitted to its logger."""
+
+    def __init__(self) -> None:
+        super().__init__(level=logging.ERROR)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def no_unhandled_asyncio_errors():
+    """Fail any test during which the ``asyncio`` logger records an ERROR.
+
+    asyncio reports an exception nobody awaited — a crashed connection
+    handler ("Unhandled exception in client_connected_cb"), a task
+    exception never retrieved — only through its logger, while the
+    client just sees a dropped connection.  Autouse fixtures set up
+    first and tear down last, so server shutdown in other fixtures is
+    covered too.
+    """
+    handler = _ErrorRecords()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.records:
+        pytest.fail(
+            "asyncio logged an error during this test:\n"
+            + "\n".join(handler.format(r) for r in handler.records),
+            pytrace=False,
+        )
+
+
 @pytest.fixture(scope="session")
 def paper_3dft() -> DFG:
     return three_point_dft_paper()

@@ -21,11 +21,11 @@ from repro.core.config import SelectionConfig
 from repro.dfg.io import dfg_digest
 from repro.exceptions import JobValidationError, ServiceError
 from repro.service import (
+    AsyncServiceServer,
     JobRequest,
     JobResult,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
 )
 from repro.service.serialize import (
     schedule_from_dict,
@@ -290,11 +290,10 @@ class TestResultRoundTrip:
 class TestHTTP:
     @pytest.fixture()
     def server(self):
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         yield server
         server.shutdown()
-        server.server_close()
 
     def test_smoke_round_trip(self, server):
         client = ServiceClient(server.url, timeout=30)
@@ -414,7 +413,7 @@ class TestHTTPKeepAliveSafety:
 
         from repro.service.http import MAX_BODY_BYTES
 
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             conn = http.client.HTTPConnection(
@@ -437,7 +436,6 @@ class TestHTTPKeepAliveSafety:
             assert client.health()["status"] == "ok"
         finally:
             server.shutdown()
-            server.server_close()
 
 
 # --------------------------------------------------------------------------- #
@@ -484,7 +482,7 @@ class TestAdmissionControl:
     def test_overload_maps_to_http_429(self):
         from repro.exceptions import ServiceOverloadedError
 
-        server = ServiceServer(port=0, max_pending=1)
+        server = AsyncServiceServer(port=0, max_pending=1)
         server.start_background()
         try:
             client = ServiceClient(server.url, timeout=30)
@@ -516,7 +514,6 @@ class TestAdmissionControl:
             result.schedule.verify()
         finally:
             server.shutdown()
-            server.server_close()
 
     def test_shard_tasks_take_admission_slots(self):
         from repro.exceptions import ServiceOverloadedError

@@ -1,27 +1,27 @@
-"""Async service core tests (ISSUE 9).
+"""Server core tests: the asyncio core behind ``repro serve``.
 
-The contract under test: the asyncio core (:mod:`repro.service.aio`)
-speaks the exact ``/v1`` wire protocol of the threaded core — both the
-sync :class:`ServiceClient` and the :class:`AsyncServiceClient` work
-against it unchanged — and layers on what a single-connection-per-thread
-core cannot offer:
+The contract under test: :class:`~repro.service.aio.AsyncServiceServer`
+speaks the ``/v1`` wire protocol to the sync :class:`ServiceClient`
+over keep-alive connections and adds:
 
+* strict request framing — a malformed, negative or oversized
+  ``Content-Length`` and any ``Transfer-Encoding`` body answer a typed
+  400 envelope with ``Connection: close``, never a crashed handler;
 * per-client token-bucket quotas → HTTP 429 with a ``Retry-After``
   hint, scoped to the offending client while other clients proceed;
 * graceful drain: in-flight work finishes, profile state flushes, new
   work answers 503 with a retry hint, reads keep serving;
 * server-push shard streaming with heartbeats on silent stretches,
-  bit-identical to the batched route under jittered latencies
-  (hypothesis-pinned), and the coordinator's 404 fallback for servers
-  that predate the stream route.
+  bit-identical to the in-process fused catalog under jittered
+  latencies (hypothesis-pinned).
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 
@@ -38,8 +38,8 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
+from repro.exec.process import merge_classified_parts
 from repro.service import (
-    AsyncServiceClient,
     AsyncServiceServer,
     JobRequest,
     ServiceClient,
@@ -74,7 +74,7 @@ def server():
 
 
 # --------------------------------------------------------------------------- #
-# the wire protocol, async core, both clients
+# the wire protocol over keep-alive connections
 # --------------------------------------------------------------------------- #
 class TestAsyncCoreRoundTrip:
     def test_sync_client_round_trip(self, server):
@@ -88,22 +88,6 @@ class TestAsyncCoreRoundTrip:
             assert client.last_cache == "result"
             assert warm == cold
             assert client.stats()["stats"]["result_hits"] == 1
-
-    def test_async_client_round_trip(self, server):
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                assert (await client.health())["status"] == "ok"
-                assert "3dft" in await client.workloads()
-                cold = await client.submit(_job())
-                first_cache = client.last_cache
-                warm = await client.submit(_job())
-                return cold, first_cache, warm, client.last_cache
-
-        cold, first_cache, warm, warm_cache = asyncio.run(run())
-        assert first_cache == "none"
-        assert warm_cache == "result"
-        assert warm == cold
-        cold.schedule.verify()
 
     def test_keep_alive_reuses_one_connection(self, server):
         with ServiceClient(server.url, timeout=30) as client:
@@ -122,14 +106,6 @@ class TestAsyncCoreRoundTrip:
                 client.submit(_job(workload="no-such-workload"))
             assert exc.value.http_status == 400
 
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                with pytest.raises(JobValidationError) as exc:
-                    await client.submit(_job(workload="no-such-workload"))
-                return exc.value.http_status
-
-        assert asyncio.run(run()) == 400
-
     def test_close_is_idempotent_and_terminal(self, server):
         client = ServiceClient(server.url, timeout=30)
         client.health()
@@ -138,15 +114,65 @@ class TestAsyncCoreRoundTrip:
         with pytest.raises(ServiceError, match="closed"):
             client.health()
 
-        async def run():
-            client = AsyncServiceClient(server.url, timeout=30)
-            await client.health()
-            await client.aclose()
-            await client.aclose()
-            with pytest.raises(ServiceError, match="closed"):
-                await client.health()
 
-        asyncio.run(run())
+# --------------------------------------------------------------------------- #
+# request framing: every unframeable request is a typed 400 + close
+# --------------------------------------------------------------------------- #
+class TestRequestFraming:
+    @staticmethod
+    def _exchange(server, raw: bytes) -> bytes:
+        """Send ``raw`` on a fresh connection; everything read until EOF."""
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=30
+        ) as sock:
+            sock.sendall(raw)
+            chunks = []
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    return b"".join(chunks)
+                chunks.append(data)
+
+    @staticmethod
+    def _assert_single_400_close(reply: bytes, match: str) -> None:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith("HTTP/1.1 400 "), reply
+        assert "Connection: close" in lines[1:]
+        # Exactly one response: nothing after the body was parsed as a
+        # follow-up request, and the server closed the connection.
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        detail = json.loads(body)["error"]
+        assert detail["type"] == "JobValidationError"
+        assert match in detail["message"]
+
+    #: The chunk payload hides a second request: it must never be parsed
+    #: out of the keep-alive stream as one.
+    _SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "framing, match",
+        [
+            (b"Content-Length: -1\r\n\r\n", "negative"),
+            (
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + f"{len(_SMUGGLED):x}\r\n".encode("ascii")
+                + _SMUGGLED
+                + b"\r\n0\r\n\r\n",
+                "Transfer-Encoding",
+            ),
+        ],
+        ids=["negative-content-length", "chunked-body"],
+    )
+    def test_unframeable_request_is_typed_400_and_close(
+        self, server, framing, match
+    ):
+        reply = self._exchange(
+            server, b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n" + framing
+        )
+        self._assert_single_400_close(reply, match)
+        with ServiceClient(server.url, timeout=30) as client:
+            assert client.health()["status"] == "ok"
 
 
 # --------------------------------------------------------------------------- #
@@ -173,21 +199,6 @@ class TestQuota:
             assert exc.value.http_status == 429
             assert exc.value.retry_after is not None
             assert exc.value.retry_after > 0
-
-    def test_quota_429_with_retry_after_async(self, quota_server):
-        async def run():
-            async with AsyncServiceClient(
-                quota_server.url, timeout=30, client_id="greedy-aio"
-            ) as client:
-                await client.submit(_job())
-                await client.submit(_job())
-                with pytest.raises(ServiceOverloadedError) as exc:
-                    await client.submit(_job())
-                return exc.value.http_status, exc.value.retry_after
-
-        status, retry_after = asyncio.run(run())
-        assert status == 429
-        assert retry_after is not None and retry_after > 0
 
     def test_retry_after_is_an_http_header_too(self, quota_server):
         body = _job().to_json().encode("utf-8")
@@ -275,19 +286,6 @@ class TestDrain:
             assert health["status"] == "draining"
             client.stats()
 
-    def test_drain_async_client(self, server):
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                await client.submit(_job())
-                info = await client.drain()
-                with pytest.raises(ServiceUnavailableError) as exc:
-                    await client.submit(_job(pdef=3))
-                return info, exc.value.http_status
-
-        info, status = asyncio.run(run())
-        assert info["draining"] is True
-        assert status == 503
-
     def test_inflight_work_finishes_during_drain(self, server):
         started = threading.Event()
         release = threading.Event()
@@ -350,39 +348,37 @@ def _shard_tasks(dfg, capacity: int, pieces: int) -> list[ShardTask]:
 
 
 class TestStreamedShard:
-    def test_stream_matches_batched_sync(self, server):
-        dfg = three_point_dft_paper()
-        tasks = _shard_tasks(dfg, 4, 3)
-        with ServiceClient(server.url, timeout=30) as client:
-            batched = client.classify_shard_many(tasks)
+    @staticmethod
+    def _assert_stream_matches_fused(url, dfg, tasks, capacity):
+        """Stream ``tasks``; merged rows equal the in-process fused catalog."""
+        with ServiceClient(url, timeout=30) as client:
             streamed: dict[int, list] = {}
             for slot, payload, _cache in client.classify_shard_stream(tasks):
                 assert isinstance(payload, list)
+                assert slot not in streamed
                 streamed[slot] = payload
         assert sorted(streamed) == list(range(len(tasks)))
-        for slot, outcome in enumerate(batched):
-            rows, _cache = outcome
-            assert streamed[slot] == rows
+        merged = merge_classified_parts(
+            dfg,
+            [streamed[slot] for slot in range(len(tasks))],
+            capacity=capacity,
+            span_limit=CFG.span_limit,
+            max_count=None,
+        )
+        reference = PatternSelector(capacity, config=CFG).build_catalog(dfg)
+        assert catalog_bits(merged) == catalog_bits(reference)
+
+    def test_stream_matches_batched_sync(self, server):
+        """A streamed claimed batch merges to the fused catalog (3DFT)."""
+        dfg = three_point_dft_paper()
+        tasks = _shard_tasks(dfg, 4, 3)
+        self._assert_stream_matches_fused(server.url, dfg, tasks, 4)
 
     def test_stream_matches_batched_async(self, server):
+        """The same on a layered random graph."""
         dfg = layered_dag(7, layers=3, width=3)
         tasks = _shard_tasks(dfg, 4, 3)
-
-        async def run():
-            async with AsyncServiceClient(server.url, timeout=30) as client:
-                batched = await client.classify_shard_many(tasks)
-                streamed = {}
-                async for slot, payload, _cache in client.classify_shard_stream(
-                    tasks
-                ):
-                    streamed[slot] = payload
-                return batched, streamed
-
-        batched, streamed = asyncio.run(run())
-        assert sorted(streamed) == list(range(len(tasks)))
-        for slot, outcome in enumerate(batched):
-            rows, _cache = outcome
-            assert streamed[slot] == rows
+        self._assert_stream_matches_fused(server.url, dfg, tasks, 4)
 
     def test_slot_error_is_slot_local(self, server):
         dfg = layered_dag(5, layers=3, width=4)
@@ -498,7 +494,7 @@ class TestStreamedCoordinator:
             built = coord.build_catalog(dfg, 4, config=CFG)
         assert catalog_bits(built) == reference
 
-    def test_remote_shards_use_streaming(self, jittered):
+    def test_remote_shards_classify_over_the_stream_route(self, jittered):
         servers, _control = jittered
         dfg = three_point_dft_paper()
         reference = catalog_bits(
@@ -506,29 +502,9 @@ class TestStreamedCoordinator:
         )
         with ShardCoordinator([s.url for s in servers]) as coord:
             built = coord.build_catalog(dfg, 5, config=CFG, workload="3dft")
-            shards = [s for s in coord.shards if isinstance(s, RemoteShard)]
-            assert shards and all(s._streaming is True for s in shards)
+            assert all(isinstance(s, RemoteShard) for s in coord.shards)
+            dispatched = coord.stats.dispatched
         assert catalog_bits(built) == reference
-
-    def test_stream_404_falls_back_to_batched(self, server):
-        dfg = three_point_dft_paper()
-        reference = catalog_bits(
-            PatternSelector(5, config=CFG).build_catalog(dfg)
-        )
-        with ShardCoordinator([server.url]) as coord:
-            shard = next(
-                s for s in coord.shards if isinstance(s, RemoteShard)
-            )
-
-            def gone(tasks, **kwargs):
-                exc = ServiceError("no route '/v1/catalog:shard:stream'")
-                exc.http_status = 404
-                raise exc
-                yield  # pragma: no cover - generator shape
-
-            shard.client.classify_shard_stream = gone
-            built = coord.build_catalog(dfg, 5, config=CFG)
-            # The 404 is remembered: this shard stays on the batched
-            # route for the rest of its life.
-            assert shard._streaming is False
-        assert catalog_bits(built) == reference
+        # Every dispatched partition was classified by a streaming server.
+        served = sum(s.service.stats.shard_tasks for s in servers)
+        assert served == dispatched >= 1

@@ -18,6 +18,7 @@ catalogs under arbitrary fault sequences.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +36,7 @@ from repro.exceptions import (
     ShardTransportError,
 )
 from repro.service import (
+    AsyncServiceServer,
     ChaosProxy,
     CircuitBreaker,
     FaultPlan,
@@ -42,7 +44,6 @@ from repro.service import (
     RetryPolicy,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
     ShardCoordinator,
     ShardTask,
     is_retryable,
@@ -101,11 +102,19 @@ def _shard_tasks(dfg, n, size=4):
 
 @pytest.fixture(scope="module")
 def server():
-    srv = ServiceServer(port=0)
+    srv = AsyncServiceServer(port=0)
     srv.start_background()
     yield srv
     srv.shutdown()
-    srv.server_close()
+
+
+def _classify_one(shard, task):
+    """Stream one task through ``shard``; its rows, or its slot error raised."""
+    ((slot, payload, _cache),) = shard.classify_stream([task])
+    assert slot == 0
+    if isinstance(payload, BaseException):
+        raise payload
+    return payload
 
 
 # --------------------------------------------------------------------------- #
@@ -307,19 +316,54 @@ class TestRemoteShardRetry:
         assert sorted(got) == sorted(want)
         assert all(got[s] == want[s] for s in want)
 
-    def test_transient_fault_does_not_latch_batched_fallback(self, server):
-        # Only a 404 on the stream route may latch the batched
-        # fallback; a flapping network must leave the tri-state alone.
-        dfg = three_point_dft_paper()
-        tasks = _shard_tasks(dfg, 4)
-        plan = FaultPlan([FaultSpec("disconnect", after_frames=1)])
-        with ChaosProxy(server.url, plan) as proxy:
-            shard = RemoteShard(proxy.url, retry=FAST)
-            try:
-                list(shard.classify_stream(tasks))
-            finally:
-                shard.client.close()
-        assert shard._streaming is True
+    def test_missing_stream_route_is_a_typed_404_never_retried(self):
+        # A server without the stream route answers the ordinary 404
+        # envelope.  That is a deterministic failure naming the route —
+        # not a transport fault to retry, and no fallback route exists.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class NoStreamRoute(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):  # noqa: N802 (BaseHTTPRequestHandler API)
+                self.rfile.read(int(self.headers.get("Content-Length") or 0))
+                body = json.dumps(
+                    {
+                        "error": {
+                            "type": "NotFound",
+                            "message": f"no route {self.path!r}",
+                        }
+                    }
+                ).encode("utf-8")
+                self.send_response(404)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), NoStreamRoute)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        shard = RemoteShard(
+            f"http://127.0.0.1:{stub.server_address[1]}", retry=FAST
+        )
+        task = _shard_tasks(three_point_dft_paper(), 1)[0]
+        try:
+            with pytest.raises(
+                ServiceError, match="/v1/catalog:shard:stream"
+            ) as exc:
+                list(shard.classify_stream([task]))
+        finally:
+            shard.client.close()
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=10)
+        assert exc.value.http_status == 404
+        assert not is_retryable(exc.value)
+        assert shard.retries_used == 0
 
     def test_blind_500s_are_retried_and_counted_exactly(self, server):
         # Two injected 500s, then the plan runs dry: the call succeeds
@@ -330,7 +374,7 @@ class TestRemoteShardRetry:
         with ChaosProxy(server.url, plan) as proxy:
             shard = RemoteShard(proxy.url, retry=FAST)
             try:
-                rows = shard.classify(task)
+                rows = _classify_one(shard, task)
             finally:
                 shard.client.close()
         assert rows  # classified for real after the faults
@@ -343,7 +387,7 @@ class TestRemoteShardRetry:
         with ChaosProxy(server.url, plan) as proxy:
             shard = RemoteShard(proxy.url, retry=FAST)
             try:
-                assert shard.classify(task)
+                assert _classify_one(shard, task)
             finally:
                 shard.client.close()
         assert shard.retries_used == 1
@@ -360,7 +404,7 @@ class TestRemoteShardRetry:
         task = _shard_tasks(dfg, 1)[0]
         try:
             with pytest.raises(ShardTransportError):
-                shard.classify(task)
+                _classify_one(shard, task)
         finally:
             shard.client.close()
         assert shard.retries_used == 1
@@ -375,7 +419,7 @@ class TestRemoteShardRetry:
         shard = RemoteShard(server.url, retry=FAST)
         try:
             with pytest.raises(EnumerationLimitError):
-                shard.classify(doomed)
+                _classify_one(shard, doomed)
         finally:
             shard.client.close()
         assert shard.retries_used == 0

@@ -11,7 +11,7 @@ warn).
 
 :mod:`repro.service.errors` is the single wire error shape.  Pinned
 here: envelope → exception round-trips for every registered type, the
-HTTP status mapping shared by both server cores, retry-hint defaults,
+HTTP status mapping of the server core, retry-hint defaults,
 and graceful degradation for unknown types and legacy flat payloads.
 """
 

@@ -12,7 +12,7 @@ Layered on top (ISSUE 5): skew-aware weight-balanced partition planning
 (coverage/contiguity properties plus the max/mean weight-ratio reduction
 vs even-seed splits), content-addressed shard partials (warm rebuilds run
 zero shard-side DFS, locally, from disk across restarts, and remotely
-with ``X-Repro-Cache: shard``), and the dynamic steal loop (out-of-order
+with ``"cache": "shard"`` stream frames), and the dynamic steal loop (out-of-order
 and stolen completions stay bit-identical under the hypothesis suite).
 """
 
@@ -40,10 +40,10 @@ from repro.exec.process import (
     plan_seed_partitions,
 )
 from repro.service import (
+    AsyncServiceServer,
     JobRequest,
     SchedulerService,
     ServiceClient,
-    ServiceServer,
     ShardCoordinator,
     ShardTask,
 )
@@ -307,13 +307,12 @@ class TestRemoteShards:
     def servers(self):
         started = []
         for _ in range(2):
-            server = ServiceServer(port=0)
+            server = AsyncServiceServer(port=0)
             server.start_background()
             started.append(server)
         yield started
         for server in started:
             server.shutdown()
-            server.server_close()
 
     def test_remote_catalog_bit_identical_by_name(self, servers):
         dfg = three_point_dft_paper()
@@ -787,7 +786,7 @@ class TestClaimBatching:
         dfg = radix2_fft(16)
         cfg = SelectionConfig(span_limit=1, max_pattern_size=3)
         reference = catalog_bits(fused_catalog(dfg, 5, cfg))
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             with ShardCoordinator([server.url], claim_batch=3) as coord:
@@ -804,12 +803,11 @@ class TestClaimBatching:
             assert stats.to_dict()["claim_rounds"] == stats.claim_rounds
         finally:
             server.shutdown()
-            server.server_close()
 
     def test_batched_endpoint_keeps_failures_slot_local(self):
-        # One oversized partition fails its own slot with the typed
-        # error; its batch-mate still classifies.
-        server = ServiceServer(port=0)
+        # One oversized partition of a claimed batch fails its own slot
+        # with the typed error; its batch-mates still classify.
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             client = ServiceClient(server.url)
@@ -821,16 +819,27 @@ class TestClaimBatching:
                 size=5, span_limit=4, max_count=1, seeds=(0, 1, 2, 3),
                 workload="3dft",
             )
-            results = client.classify_shard_many([good, doomed, good])
-            assert len(results) == 3
+            results = {
+                slot: (payload, cache)
+                for slot, payload, cache in client.classify_shard_stream(
+                    [good, doomed, good]
+                )
+            }
+            assert sorted(results) == [0, 1, 2]
             rows, cache = results[0]
             assert rows and cache in ("none", "shard")
-            assert isinstance(results[1], EnumerationLimitError)
-            rows2, cache2 = results[2]
-            assert rows2 == rows and cache2 == "shard"  # partial cache hit
+            assert isinstance(results[1][0], EnumerationLimitError)
+            assert results[1][1] is None
+            # Slots classify concurrently, so the duplicate in the same
+            # claim may or may not hit; a later claim always does.
+            assert results[2][0] == rows
+            ((slot, rows_again, cache_again),) = client.classify_shard_stream(
+                [good]
+            )
+            assert slot == 0
+            assert rows_again == rows and cache_again == "shard"
         finally:
             server.shutdown()
-            server.server_close()
 
     def test_batched_failures_keep_lowest_index_error(self):
         # With batching on, the coordinator still re-raises the error of
@@ -838,7 +847,7 @@ class TestClaimBatching:
         cfg = SelectionConfig(span_limit=2, max_antichains=50,
                               adaptive_span=False)
         dfg = layered_dag(3, layers=2, width=8, edge_prob=0.3)
-        server = ServiceServer(port=0)
+        server = AsyncServiceServer(port=0)
         server.start_background()
         try:
             with ShardCoordinator([server.url], claim_batch=4) as coord:
@@ -846,7 +855,6 @@ class TestClaimBatching:
                     coord.build_catalog(dfg, 5, config=cfg)
         finally:
             server.shutdown()
-            server.server_close()
 
     @COMMON
     @given(
