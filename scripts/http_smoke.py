@@ -8,8 +8,9 @@ remote caller would, and checks the service contract:
 1. ``/healthz`` answers;
 2. a cold job submit returns a valid, verifiable schedule;
 3. re-submitting the same job is served from the result cache
-   (``X-Repro-Cache: result``), is bit-identical on the wire, and rode
-   the same persistent keep-alive connection;
+   (``X-Repro-Cache: result``) with reply bytes identical to the cold
+   reply's (raw bodies compared, read with plain urllib), and the
+   client's warm submit rides its persistent keep-alive connection;
 4. a batch ``pdef`` sweep dedups and shares one catalog;
 5. a malformed request comes back as a typed HTTP 400, not a stack trace;
 6. the server can act as a remote shard: a catalog built through
@@ -38,14 +39,31 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import sys
+import urllib.error
+import urllib.request
 
-from repro.service import AsyncServiceServer, JobRequest, ServiceClient
+from repro.service import AsyncServiceServer, JobRequest, JobResult, ServiceClient
 
 #: Per-client quota of the main server: a burst no ordinary client of
 #: this script comes near, refilled too slowly to matter, so step 9 can
 #: spend one client's bucket deterministically.
 QUOTA_BURST = 32
+
+
+def post_job(url: str, request: JobRequest) -> "tuple[str, bytes]":
+    """``POST /v1/jobs`` through plain urllib: (cache level, raw body)."""
+    with urllib.request.urlopen(
+        urllib.request.Request(
+            url + "/v1/jobs",
+            data=request.to_json().encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        ),
+        timeout=30,
+    ) as reply:
+        return reply.headers["X-Repro-Cache"], reply.read()
 
 
 def main() -> int:
@@ -57,21 +75,27 @@ def main() -> int:
         assert health["status"] == "ok", health
         print(f"healthz ok ({health['backend']}) at {server.url}")
 
+        # Cold and warm replies straight off the wire: the warm body is
+        # the stored encoding of the cold result, so the bytes must match.
         request = JobRequest(capacity=5, pdef=4, workload="3dft")
-        cold = client.submit(request)
-        assert client.last_cache == "none", client.last_cache
+        cold_level, cold_body = post_job(server.url, request)
+        assert cold_level == "none", cold_level
+        cold = JobResult.from_json(cold_body.decode("utf-8"))
         cold.schedule.verify()
-        print(f"cold submit ok: {cold.length} cycles, cache={client.last_cache}")
+        print(f"cold submit ok: {cold.length} cycles, cache={cold_level}")
 
+        for _ in range(2):  # first hit memoizes, second replays the memo
+            warm_level, warm_body = post_job(server.url, request)
+            assert warm_level == "result", warm_level
+            assert warm_body == cold_body, "warm reply bytes differ from cold"
         warm = client.submit(request)
         assert client.last_cache == "result", client.last_cache
         assert warm == cold, "warm HTTP result is not bit-identical"
-        assert warm.to_json() == cold.to_json()
-        # The health check and both submits rode one pooled keep-alive
-        # connection.
+        # The health check and the client's submit rode one pooled
+        # keep-alive connection.
         assert len(client._conns) == 1, len(client._conns)
-        print("warm submit ok: bit-identical, served from the result cache "
-              "over one persistent connection")
+        print("warm submit ok: reply bytes identical to the cold reply, "
+              "served from the result cache over one persistent connection")
 
         sweep = client.submit_many(
             [
@@ -88,10 +112,6 @@ def main() -> int:
         # Malformed request straight onto the wire: must come back as a
         # typed 400 payload, which the client re-raises as the same
         # exception a local submit would have produced.
-        import json
-        import urllib.error
-        import urllib.request
-
         try:
             urllib.request.urlopen(
                 urllib.request.Request(
@@ -271,7 +291,6 @@ def fault_leg() -> None:
     partitions over to the two survivors, and the merged catalog must
     still be bit-identical to the fused single-instance build.
     """
-    import json
     import os
     import re
     import signal

@@ -35,12 +35,18 @@ or negative length, a ``Transfer-Encoding`` body) is a 400 envelope
 with ``Connection: close``, since the next request's start can no
 longer be located.
 
-**Priority scheduling.**  Compute runs on a small thread pool fed by a
-priority queue.  Interactive edits (``/v1/jobs:edit``) and cache-warm
-submissions (:meth:`SchedulerService.probe_result` says the result
-cache will answer) jump ahead of cold catalog builds, so a long cold
-build cannot starve the traffic that would have returned in
-microseconds.  FIFO order is preserved within a priority class.
+**Warm hits inline, everything else on the pool.**  A ``/v1/jobs``
+submit is first offered to :meth:`SchedulerService.cached_outcome`
+on the event loop.  When the service lock is free, the job names an
+already-resolved workload and its result is in the in-memory result
+cache, the reply goes out at once as the result's stored bytes
+(:meth:`~repro.service.jobs.JobResult.wire_body`, encoded once on the
+first hit) — no thread hop and no re-encode.  Every other request is
+computed *and* encoded on a small thread pool fed by a priority queue,
+so a large body never stalls the loop: edits (``/v1/jobs:edit``) run
+ahead of everything else, FIFO within a class.  The service lock is
+held for a whole submit, so while a cold build runs, a warm hit still
+queues behind it on the pool.
 
 **Per-client quotas.**  A token bucket per client — keyed by the
 ``X-Repro-Client`` header, else the peer address — meters *work*
@@ -96,7 +102,7 @@ from repro.service.http import (
     shard_rows_to_wire,
 )
 from repro.service.jobs import EditRequest, JobRequest
-from repro.service.service import SchedulerService
+from repro.service.service import SchedulerService, SubmitOutcome
 
 __all__ = [
     "AsyncServiceServer",
@@ -126,6 +132,16 @@ _WORK_ROUTES = frozenset(
         "/v1/catalog:shard:stream",
     }
 )
+
+
+def _encoded(outcome: SubmitOutcome) -> "tuple[str, bytes]":
+    """A job outcome as ``(cache level, reply body)``.
+
+    Only a result-cache hit keeps its encoding on the result, so a result
+    sent once (cold, ``catalog``, ``selection``, ``edit``) is not held
+    twice in memory; a repeated one is encoded once.
+    """
+    return outcome.cache, outcome.result.wire_body(memoize=outcome.cache == "result")
 
 
 class _TokenBucket:
@@ -257,9 +273,9 @@ class AsyncServiceServer:
         for work routes; ``quota_rps=None`` disables metering.
         ``quota_burst`` defaults to ``max(1, 2 * quota_rps)``.
     workers:
-        Compute threads behind the priority queue (the service
-        serializes heavy work internally; a few threads keep warm hits
-        and cold builds from queueing behind one another).
+        Compute threads behind the priority queue.  The service lock
+        serialises the service work itself; extra threads overlap reply
+        encoding and shard-task parsing with it.
     heartbeat_interval:
         Seconds of streaming silence before a ``{"heartbeat": ...}``
         frame goes out on ``/v1/catalog:shard:stream``.
@@ -577,13 +593,13 @@ class AsyncServiceServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: "dict[str, Any] | str",
+        payload: "dict[str, Any] | str | bytes",
         headers: "dict[str, str] | None" = None,
         close: bool = False,
     ) -> None:
-        body = (
-            payload if isinstance(payload, str) else json.dumps(payload)
-        ).encode("utf-8")
+        if isinstance(payload, dict):
+            payload = json.dumps(payload)
+        body = payload.encode("utf-8") if isinstance(payload, str) else payload
         reason = _REASONS.get(status, "Unknown")
         head = [
             f"HTTP/1.1 {status} {reason}",
@@ -669,24 +685,17 @@ class AsyncServiceServer:
         service = self.service
         if path == "/v1/jobs":
             request = JobRequest.from_json(body.decode("utf-8"))
-            # Warm traffic (the result cache will answer) jumps the
-            # queue: its service time is microseconds, and making it
-            # wait behind a cold build is the starvation this core
-            # exists to prevent.
-            priority = (
-                PRIORITY_HIGH
-                if service.probe_result(request)
-                else PRIORITY_NORMAL
-            )
-            outcome = await self._pool.submit(
-                lambda: service.submit_outcome(request), priority=priority
-            )
-            await self._send_json(
-                writer,
-                200,
-                outcome.result.to_json(),
-                headers={"X-Repro-Cache": outcome.cache},
-            )
+            # A result-cache hit is answered here, on the loop, from its
+            # stored bytes: no re-encode and no thread hop.  A miss, a
+            # held service lock or an unresolved graph goes to the pool.
+            outcome = service.cached_outcome(request)
+            if outcome is not None:
+                cache, reply = _encoded(outcome)
+            else:
+                cache, reply = await self._pool.submit(
+                    lambda: _encoded(service.submit_outcome(request))
+                )
+            await self._send_json(writer, 200, reply, headers={"X-Repro-Cache": cache})
         elif path == "/v1/jobs:batch":
             try:
                 payload = json.loads(body.decode("utf-8"))
@@ -700,25 +709,20 @@ class AsyncServiceServer:
                     field="jobs",
                 )
             requests = [JobRequest.from_dict(job) for job in payload["jobs"]]
-            results = await self._pool.submit(
-                lambda: service.submit_many(requests)
-            )
-            await self._send_json(
-                writer, 200, {"results": [r.to_dict() for r in results]}
-            )
+
+            def run_batch() -> str:
+                results = service.submit_many(requests)
+                return json.dumps({"results": [r.to_dict() for r in results]})
+
+            await self._send_json(writer, 200, await self._pool.submit(run_batch))
         elif path == "/v1/jobs:edit":
             request = EditRequest.from_json(body.decode("utf-8"))
             # Edits are interactive by definition: always high priority.
-            outcome = await self._pool.submit(
-                lambda: service.submit_edit_outcome(request),
+            cache, reply = await self._pool.submit(
+                lambda: _encoded(service.submit_edit_outcome(request)),
                 priority=PRIORITY_HIGH,
             )
-            await self._send_json(
-                writer,
-                200,
-                outcome.result.to_json(),
-                headers={"X-Repro-Cache": outcome.cache},
-            )
+            await self._send_json(writer, 200, reply, headers={"X-Repro-Cache": cache})
         elif path == "/v1/catalog:shard:stream":
             try:
                 payload = json.loads(body.decode("utf-8"))

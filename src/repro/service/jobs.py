@@ -459,6 +459,10 @@ class JobResult:
         backend, ...), or ``None`` when no policy was in play.  An echo
         field like ``timings``/``backend``: describes the submit that
         computed the result, never the answer.
+
+    A result the service answers from its result cache is sent as one
+    stored byte string (:meth:`wire_body` with ``memoize=True``), so the
+    nested dicts above must not be mutated once a result is cached.
     """
 
     job_key: str
@@ -474,6 +478,7 @@ class JobResult:
     timings: dict[str, float]
     backend: str
     policy: str | None = None
+    _wire: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -499,6 +504,21 @@ class JobResult:
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
+
+    def wire_body(self, *, memoize: bool = False) -> bytes:
+        """The UTF-8 bytes of :meth:`to_json` — this result's HTTP body.
+
+        ``memoize=True`` keeps the encoding on the result, so every later
+        call returns those stored bytes without re-encoding.  The service
+        front-end asks for that only when it sends a result-cache hit:
+        a result that is never repeated keeps no second copy of itself.
+        """
+        body = self._wire
+        if body is None:
+            body = self.to_json().encode("utf-8")
+            if memoize:
+                object.__setattr__(self, "_wire", body)
+        return body
 
     def answer_dict(self) -> dict[str, Any]:
         """:meth:`to_dict` minus the per-submit echo fields.

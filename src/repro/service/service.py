@@ -416,32 +416,6 @@ class SchedulerService:
         """
         return self.profiles.flush()
 
-    def probe_result(self, request: JobRequest) -> bool:
-        """Best-effort: would the result cache answer this request?
-
-        Never computes, never blocks: an unresolved workload name counts
-        as cold, and a contended service lock answers ``False`` rather
-        than waiting behind a running submit.  The async front-end uses
-        this to classify traffic — warm (cache-answerable) submissions
-        jump the compute queue ahead of cold builds.
-        """
-        if not isinstance(request, JobRequest):
-            return False
-        if not self._lock.acquire(blocking=False):
-            return False
-        try:
-            if request.workload is not None:
-                dfg = self._named_graphs.get(request.workload)
-            else:
-                dfg = request.dfg
-            if dfg is None:
-                return False
-            return request.job_key(dfg_digest(dfg)) in self._results
-        except Exception:  # noqa: BLE001 — a probe must never raise
-            return False
-        finally:
-            self._lock.release()
-
     def __enter__(self) -> "SchedulerService":
         return self
 
@@ -552,6 +526,39 @@ class SchedulerService:
             )
         with self._admitted():
             return self._submit_outcome(request)
+
+    def cached_outcome(self, request: JobRequest) -> "SubmitOutcome | None":
+        """:meth:`submit_outcome` for a result-cache hit, without waiting.
+
+        Answers only when the service lock is free at once, the job names
+        a workload whose graph is already resolved, and its result is held
+        in process memory.  So it never validates a graph or computes a
+        digest (a resolved graph's digest is memoized), never reads the
+        disk store and never waits behind a running submit.  Anything else returns ``None`` having counted nothing,
+        and the caller submits the request the ordinary way.  A hit takes
+        the same admission slot, policy-name check and ``submitted`` /
+        ``result_hits`` counters as :meth:`submit_outcome`.  The async
+        front-end calls this on its event loop.
+        """
+        if request.workload is None:
+            return None
+        with self._admitted():
+            if not self._lock.acquire(blocking=False):
+                return None
+            try:
+                dfg = self._named_graphs.get(request.workload)
+                if dfg is None:
+                    return None
+                cached = self._results.get_resident(request.job_key(dfg_digest(dfg)))
+                if cached is None:
+                    return None
+                self.stats.submitted += 1
+                if request.policy is not None:
+                    get_policy(request.policy)
+                self.stats.result_hits += 1
+                return SubmitOutcome(result=cached, cache="result")
+            finally:
+                self._lock.release()
 
     def _submit_outcome(self, request: JobRequest) -> SubmitOutcome:
         """:meth:`submit_outcome` inside an already-held admission slot."""

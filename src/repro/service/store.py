@@ -80,11 +80,17 @@ class CacheStore:
     A store maps hashable structured keys to values.  ``get`` returns
     ``None`` on a miss (values are never ``None``), ``put`` inserts or
     replaces.  Implementations are free to evict; the service treats any
-    eviction as an ordinary miss.
+    eviction as an ordinary miss.  ``get_resident`` is ``get`` restricted
+    to values already held in process memory: it never reads a file (a
+    disk store still refreshes the entry's mtime, as on every hit), so
+    the service may call it on its event loop.
     """
 
     def get(self, key: Any) -> Any | None:
         raise NotImplementedError
+
+    def get_resident(self, key: Any) -> Any | None:
+        return None
 
     def put(self, key: Any, value: Any) -> None:
         raise NotImplementedError
@@ -123,6 +129,9 @@ class MemoryCacheStore(CacheStore):
         except KeyError:
             return None
         return self._data[key]
+
+    def get_resident(self, key: Any) -> Any | None:
+        return self.get(key)
 
     def put(self, key: Any, value: Any) -> None:
         self._data[key] = value
@@ -233,13 +242,19 @@ class DiskCacheStore(CacheStore):
         except OSError:
             pass
 
-    def get(self, key: Any) -> Any | None:
+    def get_resident(self, key: Any) -> Any | None:
         # The memory front stores (path, value): the resolved path rides
         # along so a warm hit pays one utime, not a key re-digest.
         entry = self._memory.get(key)
-        if entry is not None:
-            path, value = entry
-            self._touch(path)
+        if entry is None:
+            return None
+        path, value = entry
+        self._touch(path)
+        return value
+
+    def get(self, key: Any) -> Any | None:
+        value = self.get_resident(key)
+        if value is not None:
             return value
         path = self.path_for(key)
         try:

@@ -14,6 +14,7 @@ Covers the `repro.service` contract:
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -206,6 +207,122 @@ class TestServiceCaching:
     def test_tiny_cache_size_rejected(self):
         with pytest.raises(ServiceError, match="cache size"):
             SchedulerService(result_cache=0)
+
+
+class TestCachedOutcome:
+    """The non-blocking result-cache lookup the async core runs inline."""
+
+    @staticmethod
+    def _counters(service) -> dict:
+        stats = service.stats.to_dict()
+        del stats["stage_seconds"]  # wall clock, never equal across runs
+        return stats
+
+    def test_hit_counts_like_submit_outcome(self):
+        with SchedulerService() as inline, SchedulerService() as pooled:
+            cold = inline.submit(_job())
+            pooled.submit(_job())
+            hit = inline.cached_outcome(_job())
+            assert pooled.submit_outcome(_job()).cache == "result"
+            assert hit.cache == "result"
+            assert hit.result is cold  # the stored object itself
+            assert self._counters(inline) == self._counters(pooled)
+
+    @pytest.mark.parametrize(
+        "primed, job",
+        [
+            (None, _job()),
+            (3, _job()),
+            (
+                4,
+                JobRequest(
+                    capacity=5, pdef=4, dfg=three_point_dft_paper(), config=CFG
+                ),
+            ),
+        ],
+        ids=["unresolved-workload", "cold", "inline-dfg"],
+    )
+    def test_answers_none_and_counts_nothing(self, primed, job):
+        with SchedulerService() as service:
+            if primed is not None:
+                service.submit(_job(pdef=primed))
+            before = self._counters(service)
+            assert service.cached_outcome(job) is None
+            assert self._counters(service) == before
+
+    def test_held_lock_answers_none(self):
+        with SchedulerService() as service:
+            service.submit(_job())
+            before = self._counters(service)
+            held, release = threading.Event(), threading.Event()
+
+            def hold() -> None:
+                with service._lock:
+                    held.set()
+                    release.wait(timeout=30)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            assert held.wait(timeout=30)
+            try:
+                assert service.cached_outcome(_job()) is None
+            finally:
+                release.set()
+                holder.join(timeout=30)
+            assert not holder.is_alive()
+            assert self._counters(service) == before
+            assert service.cached_outcome(_job()).cache == "result"
+
+    def test_unknown_policy_raises_after_counting_the_submit(self):
+        from repro.exceptions import PolicyError
+
+        with SchedulerService() as service:
+            service.submit(_job())
+            bad = _job(policy="nope")
+            with pytest.raises(PolicyError, match="unknown policy"):
+                service.cached_outcome(bad)
+            with pytest.raises(PolicyError, match="unknown policy"):
+                service.submit_outcome(bad)
+            assert service.stats.submitted == 3
+            assert service.stats.result_hits == 0
+
+    def test_takes_an_admission_slot(self):
+        from repro.exceptions import ServiceOverloadedError
+
+        with SchedulerService(max_pending=1) as service:
+            service.submit(_job())
+            with service._admitted():
+                with pytest.raises(ServiceOverloadedError):
+                    service.cached_outcome(_job())
+            assert service.stats.rejected == 1
+            assert service.cached_outcome(_job()).cache == "result"
+            assert service.pending == 0
+
+    def test_reads_memory_only(self, tmp_path):
+        with SchedulerService(cache_dir=tmp_path) as writer:
+            writer.submit(_job())
+        with SchedulerService(cache_dir=tmp_path) as service:
+            service.submit(_job(pdef=3))  # resolves the 3dft graph
+            assert service.cached_outcome(_job()) is None  # on disk only
+            assert service.submit_outcome(_job()).cache == "result"
+            assert service.cached_outcome(_job()).cache == "result"
+
+
+class TestWireBody:
+    def test_is_the_utf8_of_to_json(self):
+        with SchedulerService() as service:
+            result = service.submit(_job())
+        assert result.wire_body() == result.to_json().encode("utf-8")
+        assert result.wire_body() == json.dumps(result.to_dict()).encode("utf-8")
+
+    def test_memoized_only_on_request(self):
+        with SchedulerService() as service:
+            result = service.submit(_job())
+        result.wire_body()
+        assert result._wire is None
+        body = result.wire_body(memoize=True)
+        assert result.wire_body() is body
+        assert result == service.submit(_job())  # memo is not content
 
 
 class TestSubmitMany:

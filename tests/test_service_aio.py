@@ -22,6 +22,7 @@ import http.client
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -31,9 +32,11 @@ from hypothesis import strategies as st
 
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
+from repro.dfg.io import dfg_digest
 from repro.exceptions import (
     EnumerationLimitError,
     JobValidationError,
+    PolicyError,
     ServiceError,
     ServiceOverloadedError,
     ServiceUnavailableError,
@@ -42,6 +45,7 @@ from repro.exec.process import merge_classified_parts
 from repro.service import (
     AsyncServiceServer,
     JobRequest,
+    JobResult,
     ServiceClient,
     ShardCoordinator,
     ShardTask,
@@ -113,6 +117,207 @@ class TestAsyncCoreRoundTrip:
         client.close()
         with pytest.raises(ServiceError, match="closed"):
             client.health()
+
+
+# --------------------------------------------------------------------------- #
+# warm hits: answered on the loop from the result's stored bytes
+# --------------------------------------------------------------------------- #
+def _post(server, request: JobRequest) -> "tuple[int, str | None, bytes]":
+    """``POST /v1/jobs`` on a fresh connection: status, cache level, raw body."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+    try:
+        conn.request(
+            "POST",
+            "/v1/jobs",
+            body=request.to_json().encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        return resp.status, resp.getheader("X-Repro-Cache"), resp.read()
+    finally:
+        conn.close()
+
+
+def _counters(server) -> dict:
+    stats = server.service.describe()["stats"]
+    del stats["stage_seconds"]  # wall clock, never equal across servers
+    return stats
+
+
+class TestWarmHits:
+    def test_warm_bytes_equal_cold_bytes(self, server):
+        cold = _post(server, _job())
+        warm = _post(server, _job())
+        again = _post(server, _job())
+        assert cold[:2] == (200, "none")
+        assert warm[:2] == again[:2] == (200, "result")
+        assert warm[2] == cold[2] == again[2]
+        stored = server.service.submit(_job())
+        assert warm[2] == json.dumps(stored.to_dict()).encode("utf-8")
+
+    def test_cold_results_keep_no_memoized_body(self, server):
+        assert _post(server, _job())[1] == "none"
+        assert _post(server, _job(pdef=3))[1] == "catalog"
+        assert server.service.submit(_job())._wire is None
+        assert server.service.submit(_job(pdef=3))._wire is None
+        assert _post(server, _job())[1] == "result"
+        assert server.service.submit(_job())._wire is not None
+
+    def test_stats_match_inline_and_pooled_hits(self):
+        servers = [AsyncServiceServer(port=0) for _ in range(2)]
+        for s in servers:
+            s.start_background()
+        pooled = servers[1]
+        pooled.service.cached_outcome = lambda request: None
+        try:
+            replies = [
+                [_post(s, _job(pdef=pdef)) for pdef in (4, 4, 3, 4, 3)]
+                for s in servers
+            ]
+            # Same levels and answers; bodies differ only in the cold
+            # submits' wall-clock timings.
+            answers = [
+                [
+                    (status, level, JobResult.from_json(body).answer_dict())
+                    for status, level, body in side
+                ]
+                for side in replies
+            ]
+            assert answers[0] == answers[1]
+            assert [level for _, level, _ in replies[0]] == [
+                "none",
+                "result",
+                "catalog",
+                "result",
+                "result",
+            ]
+            assert _counters(servers[0]) == _counters(pooled)
+            assert _counters(pooled)["result_hits"] == 3
+        finally:
+            for s in servers:
+                s.shutdown()
+
+    def test_unknown_policy_on_warm_hit_is_typed(self, server):
+        assert _post(server, _job())[1] == "none"
+        warm = _post(server, _job(policy="no-such-policy"))
+        cold = _post(server, _job(pdef=3, policy="no-such-policy"))
+        assert warm[0] == cold[0] == 422
+        for _, _, body in (warm, cold):
+            detail = json.loads(body)["error"]
+            assert detail["type"] == "PolicyError"
+            assert "unknown policy" in detail["message"]
+        with ServiceClient(server.url, timeout=30) as client:
+            with pytest.raises(PolicyError):
+                client.submit(_job(policy="no-such-policy"))
+        assert _counters(server)["result_hits"] == 0
+
+    def test_max_pending_429_on_warm_hit(self):
+        server = AsyncServiceServer(port=0, max_pending=1)
+        server.start_background()
+        try:
+            assert _post(server, _job())[1] == "none"
+            with server.service._admitted():  # hold the only slot
+                status, _, body = _post(server, _job())
+                assert status == 429
+                assert json.loads(body)["error"]["type"] == "ServiceOverloadedError"
+            assert _post(server, _job())[1] == "result"
+            assert server.service.stats.rejected == 1
+        finally:
+            server.shutdown()
+
+    def test_warm_submit_waits_for_a_held_lock(self, server):
+        cold = _post(server, _job())
+        replies: list = []
+        lock = server.service._lock
+        lock.acquire()
+        try:
+            sender = threading.Thread(
+                target=lambda: replies.append(_post(server, _job()))
+            )
+            sender.start()
+            sender.join(timeout=0.5)
+            # Not answered inline: it waits on the pool for the lock.
+            assert sender.is_alive() and replies == []
+        finally:
+            lock.release()
+        sender.join(timeout=30)
+        assert not sender.is_alive()
+        assert replies == [(200, "result", cold[2])]
+        # Once the lock is free again, hits are answered inline.
+        assert _post(server, _job()) == replies[0]
+
+    def test_concurrent_mixed_traffic_keeps_bytes_and_counters(self, server):
+        # Warm hits on the loop race pool submits (cold jobs, and hits
+        # pushed to the pool while a build holds the lock): every body
+        # must stay the stored one and no counter update may be lost.
+        jobs = [_job(pdef=pdef) for pdef in (2, 3, 4)]
+        expected = {job.pdef: _post(server, job)[2] for job in jobs}
+        graphs: dict = {}  # digest → never-submitted inline graph
+        for seed in range(100):
+            dfg = layered_dag(seed, layers=3, width=4)
+            graphs.setdefault(dfg_digest(dfg), dfg)
+        assert len(graphs) >= 24
+        fresh = iter(graphs.values())
+        fresh_lock = threading.Lock()
+        errors: list[BaseException] = []
+
+        def caller(index: int) -> None:
+            try:
+                for step in range(12):
+                    if (index + step) % 4 == 0:
+                        with fresh_lock:
+                            dfg = next(fresh)
+                        status, level, _ = _post(
+                            server, JobRequest(capacity=4, pdef=3, dfg=dfg)
+                        )
+                        # "edit" when a partition's subgraph repeats.
+                        assert status == 200 and level in ("none", "edit")
+                    else:
+                        job = jobs[(index + step) % 3]
+                        assert _post(server, job) == (
+                            200,
+                            "result",
+                            expected[job.pdef],
+                        )
+            except BaseException as exc:  # pragma: no cover - fail below
+                errors.append(exc)
+
+        before = _counters(server)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
+        after = _counters(server)
+        cold = sum(1 for i in range(8) for s in range(12) if (i + s) % 4 == 0)
+        assert after["submitted"] - before["submitted"] == 96
+        assert after["result_hits"] - before["result_hits"] == 96 - cold
+        assert after["result_misses"] - before["result_misses"] == cold
+
+    def test_disk_only_entry_answered_through_the_pool(self, tmp_path):
+        from repro.service import SchedulerService
+
+        with SchedulerService(cache_dir=tmp_path) as writer:
+            expected = writer.submit(_job()).wire_body()
+        server = AsyncServiceServer(port=0, cache_dir=tmp_path)
+        server.start_background()
+        try:
+            _post(server, _job(pdef=3))  # resolves the 3dft graph
+            # Memory misses, so the lookup on the loop answers nothing
+            # and the pool reads the disk store.
+            assert server.service.cached_outcome(_job()) is None
+            pooled = _post(server, _job())
+            inline = _post(server, _job())
+            assert pooled == inline == (200, "result", expected)
+        finally:
+            server.shutdown()
 
 
 # --------------------------------------------------------------------------- #

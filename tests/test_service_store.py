@@ -93,6 +93,15 @@ class TestMemoryCacheStore:
         assert store.get("b") is None
         assert store.get("a") == 10
 
+    def test_get_resident_is_get(self):
+        store = MemoryCacheStore(2)
+        store.put("a", 1)
+        store.put("b", 2)
+        assert store.get_resident("a") == 1  # refreshes recency like get
+        store.put("c", 3)
+        assert store.get_resident("b") is None
+        assert store.get_resident("a") == 1
+
     def test_len_contains_clear(self):
         store = MemoryCacheStore(4)
         store.put(("k", 1), "v")
@@ -130,6 +139,13 @@ class TestDiskCacheStore:
 
     def test_miss_returns_none(self, tmp_path):
         assert _result_store(tmp_path).get("absent") is None
+
+    def test_get_resident_never_reads_the_file(self, tmp_path, result):
+        _result_store(tmp_path).put(result.job_key, result)
+        store = _result_store(tmp_path)  # restarted: memory front is cold
+        assert store.get_resident(result.job_key) is None
+        value = store.get(result.job_key)  # the file read fills the front
+        assert store.get_resident(result.job_key) is value
 
     @pytest.mark.parametrize(
         "garbage",
