@@ -200,8 +200,7 @@ def apply_edits(dfg: DFG, edits: Iterable[DfgEdit]) -> DFG:
 
     out = DFG(name=dfg.name)
     out.meta = dict(dfg.meta)
-    for name, color, attrs in nodes:
-        out.add_node(name, color, **attrs)
+    out.add_nodes(nodes)
     out.add_edges(edges)
     return out
 

@@ -109,30 +109,72 @@ class DFG:
         DuplicateNodeError
             If ``name`` already exists.
         """
-        if name in self._index:
-            raise DuplicateNodeError(f"node {name!r} already present in {self.name!r}")
-        if not isinstance(color, str) or not color:
-            raise GraphError(f"node {name!r}: color must be a non-empty string")
-        idx = len(self._order)
-        self._g.add_node(name, color=color, **attrs)
-        self._order.append(name)
-        self._index[name] = idx
+        self.add_nodes([(name, color, attrs)])
+        return self.node(name)
+
+    def add_nodes(self, nodes: Iterable[tuple[str, str, Mapping[str, Any]]]) -> None:
+        """Add many ``(name, color, attrs)`` nodes in order, all or none.
+
+        Every node is checked as :meth:`add_node` checks it before the
+        graph changes; then the batch lands in one networkx insert and
+        one analysis-cache clear.
+
+        Raises
+        ------
+        DuplicateNodeError
+            If a name already exists or repeats within the batch.
+        GraphError
+            If a color is not a non-empty string, or ``attrs`` holds a
+            ``color`` key (the color is the node's own field).
+        """
+        fresh: dict[str, int] = {}
+        batch = []
+        start = len(self._order)
+        for name, color, attrs in nodes:
+            if name in self._index or name in fresh:
+                raise DuplicateNodeError(
+                    f"node {name!r} already present in {self.name!r}"
+                )
+            if not isinstance(color, str) or not color:
+                raise GraphError(f"node {name!r}: color must be a non-empty string")
+            if "color" in attrs:
+                raise GraphError(
+                    f"node {name!r}: 'color' is the node's color, not a free-form "
+                    "attribute"
+                )
+            fresh[name] = start + len(fresh)
+            batch.append((name, color, attrs))
+        # Bare names take networkx's fast path; (name, dict) pairs would
+        # cost one caught TypeError per node inside add_nodes_from.
+        self._g.add_nodes_from(fresh)
+        data = self._g.nodes
+        for name, color, attrs in batch:
+            node = data[name]
+            node["color"] = color
+            node.update(attrs)
+        self._order.extend(fresh)
+        self._index.update(fresh)
         self._analysis_cache.clear()
-        return Node(name=name, color=color, index=idx, attrs=self._g.nodes[name])
 
     def add_edge(self, u: str, v: str) -> None:
         """Add the dependency edge ``u -> v`` (``u`` produces for ``v``)."""
-        self._require(u)
-        self._require(v)
-        if u == v:
-            raise CycleError(f"self-loop {u!r} -> {u!r} is not allowed in a DFG")
-        self._g.add_edge(u, v)
-        self._analysis_cache.clear()
+        self.add_edges([(u, v)])
 
     def add_edges(self, edges: Iterable[tuple[str, str]]) -> None:
-        """Add many edges preserving the given order."""
+        """Add many edges preserving the given order, all or none.
+
+        Every edge is checked as :meth:`add_edge` checks it before the
+        graph changes; then one networkx insert and one cache clear.
+        """
+        batch = []
         for u, v in edges:
-            self.add_edge(u, v)
+            self._require(u)
+            self._require(v)
+            if u == v:
+                raise CycleError(f"self-loop {u!r} -> {u!r} is not allowed in a DFG")
+            batch.append((u, v))
+        self._g.add_edges_from(batch)
+        self._analysis_cache.clear()
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -320,12 +362,12 @@ class DFG:
         """A deep, insertion-order-preserving copy."""
         out = DFG(name=name if name is not None else self.name)
         out.meta = dict(self.meta)
-        for n in self._order:
-            data = dict(self._g.nodes[n])
-            color = data.pop("color")
-            out.add_node(n, color, **data)
-        for u, v in self._g.edges():
-            out.add_edge(u, v)
+        nodes = self._g.nodes
+        out.add_nodes(
+            (n, nodes[n]["color"], {k: v for k, v in nodes[n].items() if k != "color"})
+            for n in self._order
+        )
+        out.add_edges(self._g.edges())
         return out
 
     def to_networkx(self) -> nx.DiGraph:

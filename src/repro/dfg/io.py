@@ -85,15 +85,52 @@ def _json_safe(value: object) -> bool:
 
 
 def from_payload(payload: dict[str, Any]) -> DFG:
-    """Inverse of :func:`to_payload`."""
+    """Inverse of :func:`to_payload`.
+
+    Node names must be non-empty strings and each edge a 2-item array of
+    declared names.  Every node and edge is checked before the graph is
+    built in one bulk insert (:meth:`~repro.dfg.graph.DFG.add_nodes`,
+    :meth:`~repro.dfg.graph.DFG.add_edges`); failures raise
+    :class:`~repro.exceptions.GraphError` or one of its typed subclasses
+    (duplicate node, unknown endpoint, self-loop).
+    """
+    if not isinstance(payload, dict):
+        raise GraphError(
+            f"malformed DFG JSON payload: expected an object, "
+            f"got {type(payload).__name__}"
+        )
     try:
-        dfg = DFG(name=payload.get("name", "dfg"))
+        nodes = []
         for node in payload["nodes"]:
-            dfg.add_node(node["name"], node["color"], **node.get("attrs", {}))
-        for u, v in payload["edges"]:
-            dfg.add_edge(u, v)
+            name, attrs = node["name"], node.get("attrs", {})
+            if not isinstance(name, str) or not name:
+                raise GraphError(
+                    f"malformed DFG JSON payload: node name {name!r} is not "
+                    "a non-empty string"
+                )
+            if not isinstance(attrs, dict):
+                raise GraphError(
+                    f"malformed DFG JSON payload: node {name!r} has non-object "
+                    "'attrs'"
+                )
+            nodes.append((name, node["color"], attrs))
+        edges = payload["edges"]
+        for edge in edges:
+            if (
+                not isinstance(edge, list)
+                or len(edge) != 2
+                or not isinstance(edge[0], str)
+                or not isinstance(edge[1], str)
+            ):
+                raise GraphError(
+                    f"malformed DFG JSON payload: edge {edge!r} is not a "
+                    "2-item array of node names"
+                )
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed DFG JSON payload: {exc!r}") from exc
+    dfg = DFG(name=payload.get("name", "dfg"))
+    dfg.add_nodes(nodes)
+    dfg.add_edges(edges)
     return dfg
 
 

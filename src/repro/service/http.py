@@ -261,7 +261,7 @@ class ServiceClient:
 
     def _request(
         self, path: str, body: "bytes | None" = None
-    ) -> tuple[str, dict[str, str]]:
+    ) -> tuple[bytes, dict[str, str]]:
         polite_waits = 0
         while True:
             resp = self._open(path, body)
@@ -296,7 +296,9 @@ class ServiceClient:
                     time.sleep(min(hint, self.retry_after_cap))
                     continue
                 raise exc
-            return data.decode("utf-8"), headers
+            # Raw bytes: json.loads and JobResult.from_json decode UTF-8
+            # themselves, so no str copy of a large body is made.
+            return data, headers
 
     # ------------------------------------------------------------------ #
     def submit(self, request: JobRequest) -> JobResult:

@@ -32,6 +32,7 @@ from repro.exceptions import GraphError, JobValidationError
 from repro.scheduling.pattern_priority import PatternPriority
 from repro.scheduling.schedule import Schedule
 from repro.service.serialize import (
+    PatternTable,
     config_from_dict,
     config_to_dict,
     schedule_from_dict,
@@ -545,6 +546,9 @@ class JobResult:
             )
         try:
             dfg = from_payload(payload["dfg"])
+            # One pattern table for the whole result: the schedule and
+            # the selection name the same few bags again and again.
+            patterns: PatternTable = {}
             metrics = dict(payload["metrics"])
             # JSON objects key by string; pattern_usage keys are pattern
             # indices — restore them to ints for losslessness.
@@ -560,9 +564,9 @@ class JobResult:
                 pdef=payload["pdef"],
                 priority=payload["priority"],
                 dfg=dfg,
-                schedule=schedule_from_dict(payload["schedule"], dfg),
+                schedule=schedule_from_dict(payload["schedule"], dfg, patterns),
                 selection=selection_result_from_dict(
-                    payload["selection"], dfg
+                    payload["selection"], dfg, patterns
                 ),
                 metrics=metrics,
                 timings={
@@ -575,13 +579,14 @@ class JobResult:
             )
         except JobValidationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (GraphError, KeyError, TypeError, ValueError) as exc:
             raise JobValidationError(
                 f"malformed job result payload: {exc!r}"
             ) from exc
 
     @classmethod
-    def from_json(cls, text: str) -> "JobResult":
+    def from_json(cls, text: str | bytes) -> "JobResult":
+        """Inverse of :meth:`to_json`; also takes the UTF-8 wire bytes."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -10,6 +10,15 @@ scheduled :class:`~repro.dfg.graph.DFG`; their dict forms deliberately do
 **not** embed it — the enclosing job payload serialises the graph once and
 hands it back at reconstruction time.
 
+One result names the same few pattern bags many times over (library,
+schedule library, catalog rows, per-round priorities, chosen, deleted).
+The ``*_from_dict`` functions therefore share a :data:`PatternTable`
+passed down explicitly by the caller: each distinct color list is
+validated and built into a :class:`~repro.patterns.pattern.Pattern`
+once per decode, and every later occurrence reuses that (immutable)
+object.  The table is per decode, never module state, so concurrent
+decodes on different threads share nothing.
+
 Malformed payloads raise
 :class:`~repro.exceptions.JobValidationError` (a typed
 :class:`~repro.exceptions.ReproError`), never bare ``KeyError``/
@@ -33,6 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dfg.graph import DFG
 
 __all__ = [
+    "PatternTable",
     "config_to_dict",
     "config_from_dict",
     "pattern_to_list",
@@ -46,6 +56,12 @@ __all__ = [
     "catalog_to_dict",
     "catalog_from_dict",
 ]
+
+#: One decode's interned bags: the color tuple as sent -> its Pattern.
+PatternTable = dict[tuple[str, ...], Pattern]
+
+_STR = frozenset({str})
+_INT = frozenset({int})
 
 #: The :class:`SelectionConfig` fields, in declaration order.
 _CONFIG_FIELDS = (
@@ -112,19 +128,29 @@ def pattern_to_list(pattern: Pattern) -> list[str]:
     return list(pattern.key)
 
 
-def pattern_from_list(payload: Any) -> Pattern:
-    """Inverse of :func:`pattern_to_list`."""
-    if not isinstance(payload, list) or not all(
-        isinstance(c, str) for c in payload
-    ):
+def pattern_from_list(payload: Any, patterns: PatternTable | None = None) -> Pattern:
+    """Inverse of :func:`pattern_to_list`, interned in ``patterns``.
+
+    A color list already in the table returns its stored pattern; a new
+    one is validated, built and stored.
+    """
+    key = tuple(payload) if isinstance(payload, list) else None
+    if patterns is None:
+        patterns = {}
+    try:
+        return patterns[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable "color"
+        pass
+    if key is None or not all(isinstance(c, str) for c in key):
         raise JobValidationError(
             f"malformed pattern payload: expected a list of colors, "
             f"got {payload!r}"
         )
     try:
-        return Pattern(payload)
+        pattern = patterns[key] = Pattern(key)
     except ReproError as exc:
         raise JobValidationError(f"invalid pattern: {exc}") from exc
+    return pattern
 
 
 def library_to_dict(library: PatternLibrary) -> dict[str, Any]:
@@ -136,16 +162,23 @@ def library_to_dict(library: PatternLibrary) -> dict[str, Any]:
     }
 
 
-def library_from_dict(payload: Any) -> PatternLibrary:
+def library_from_dict(
+    payload: Any, patterns: PatternTable | None = None
+) -> PatternLibrary:
     """Inverse of :func:`library_to_dict`.
 
     Duplicates are permitted on the way back in (Table-3 style libraries
     contain them legitimately), keeping the round-trip lossless.
     """
     payload = _expect(payload, "library")
+    if patterns is None:
+        patterns = {}
     try:
         return PatternLibrary(
-            [pattern_from_list(p) for p in _get(payload, "patterns", "library")],
+            [
+                pattern_from_list(p, patterns)
+                for p in _get(payload, "patterns", "library")
+            ],
             _get(payload, "capacity", "library"),
             budget=payload.get("budget", 32),
             allow_duplicates=True,
@@ -176,7 +209,9 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     }
 
 
-def schedule_from_dict(payload: Any, dfg: "DFG") -> Schedule:
+def schedule_from_dict(
+    payload: Any, dfg: "DFG", patterns: PatternTable | None = None
+) -> Schedule:
     """Inverse of :func:`schedule_to_dict` against a reconstructed graph."""
     payload = _expect(payload, "schedule")
     try:
@@ -193,7 +228,7 @@ def schedule_from_dict(payload: Any, dfg: "DFG") -> Schedule:
         )
         return Schedule(
             dfg=dfg,
-            library=library_from_dict(_get(payload, "library", "schedule")),
+            library=library_from_dict(_get(payload, "library", "schedule"), patterns),
             cycles=cycles,
             assignment=dict(_get(payload, "assignment", "schedule")),
         )
@@ -230,22 +265,38 @@ def catalog_to_dict(catalog: PatternCatalog) -> dict[str, Any]:
     return out
 
 
-def catalog_from_dict(payload: Any, dfg: "DFG") -> PatternCatalog:
+def _frequency_counter(row: Any) -> Counter:
+    """One catalog row's node -> frequency map, type-checked then copied once."""
+    if (
+        not isinstance(row, dict)
+        or not set(map(type, row)) <= _STR
+        or not set(map(type, row.values())) <= _INT
+    ):
+        raise JobValidationError(
+            "malformed catalog payload: a frequency row must map node names "
+            "to int counts"
+        )
+    return Counter(row)
+
+
+def catalog_from_dict(
+    payload: Any, dfg: "DFG", patterns: PatternTable | None = None
+) -> PatternCatalog:
     """Inverse of :func:`catalog_to_dict` against a reconstructed graph."""
     payload = _expect(payload, "catalog")
+    if patterns is None:
+        patterns = {}
     try:
         frequencies = {
-            pattern_from_list(p): Counter(
-                {str(n): int(k) for n, k in counter.items()}
-            )
-            for p, counter in _get(payload, "frequencies", "catalog")
+            pattern_from_list(p, patterns): _frequency_counter(row)
+            for p, row in _get(payload, "frequencies", "catalog")
         }
         antichain_counts = {
-            pattern_from_list(p): count
+            pattern_from_list(p, patterns): count
             for p, count in _get(payload, "antichain_counts", "catalog")
         }
         antichains = {
-            pattern_from_list(p): [tuple(a) for a in chains]
+            pattern_from_list(p, patterns): [tuple(a) for a in chains]
             for p, chains in payload.get("antichains", [])
         }
         return PatternCatalog(
@@ -285,21 +336,23 @@ def selection_result_to_dict(result: SelectionResult) -> dict[str, Any]:
     }
 
 
-def selection_result_from_dict(payload: Any, dfg: "DFG") -> SelectionResult:
+def selection_result_from_dict(
+    payload: Any, dfg: "DFG", patterns: PatternTable | None = None
+) -> SelectionResult:
     """Inverse of :func:`selection_result_to_dict`."""
     payload = _expect(payload, "selection")
+    if patterns is None:
+        patterns = {}
     try:
         rounds = tuple(
             SelectionRound(
                 index=rnd["index"],
                 priorities={
-                    pattern_from_list(p): v for p, v in rnd["priorities"]
+                    pattern_from_list(p, patterns): v for p, v in rnd["priorities"]
                 },
-                chosen=pattern_from_list(rnd["chosen"]),
+                chosen=pattern_from_list(rnd["chosen"], patterns),
                 fallback=rnd["fallback"],
-                deleted=tuple(
-                    pattern_from_list(p) for p in rnd["deleted"]
-                ),
+                deleted=tuple(pattern_from_list(p, patterns) for p in rnd["deleted"]),
             )
             for rnd in _get(payload, "rounds", "selection")
         )
@@ -308,8 +361,8 @@ def selection_result_from_dict(payload: Any, dfg: "DFG") -> SelectionResult:
             f"malformed selection payload: {exc!r}"
         ) from exc
     return SelectionResult(
-        library=library_from_dict(_get(payload, "library", "selection")),
+        library=library_from_dict(_get(payload, "library", "selection"), patterns),
         rounds=rounds,
-        catalog=catalog_from_dict(_get(payload, "catalog", "selection"), dfg),
+        catalog=catalog_from_dict(_get(payload, "catalog", "selection"), dfg, patterns),
         config=config_from_dict(_get(payload, "config", "selection")),
     )

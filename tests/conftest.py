@@ -9,6 +9,12 @@ import pytest
 
 from repro.dfg.graph import DFG
 from repro.dfg.levels import LevelAnalysis
+from repro.exceptions import (
+    CycleError,
+    DuplicateNodeError,
+    GraphError,
+    UnknownNodeError,
+)
 from repro.workloads import (
     five_point_dft,
     small_example,
@@ -192,3 +198,62 @@ def diamond() -> DFG:
     dfg.add_node("a3", "a")
     dfg.add_edges([("a0", "b1"), ("a0", "c2"), ("b1", "a3"), ("c2", "a3")])
     return dfg
+
+
+# --------------------------------------------------------------------------- #
+# malformed inline graphs
+# --------------------------------------------------------------------------- #
+def _graph_payload(nodes=None, edges=None) -> dict:
+    """A two-node inline-graph payload with ``nodes``/``edges`` swapped in."""
+    if nodes is None:
+        nodes = [{"name": "a1", "color": "a"}, {"name": "b2", "color": "b"}]
+    return {
+        "name": "bad",
+        "nodes": nodes,
+        "edges": [["a1", "b2"]] if edges is None else edges,
+    }
+
+
+#: id -> (inline-graph payload, the exact error ``from_payload`` raises).
+#: ``POST /v1/jobs`` answers every one with a 400 ``JobValidationError``.
+MALFORMED_GRAPHS = {
+    "duplicate-node": (
+        _graph_payload(
+            nodes=[{"name": "a1", "color": "a"}, {"name": "a1", "color": "b"}],
+            edges=[],
+        ),
+        DuplicateNodeError,
+    ),
+    "unknown-endpoint": (_graph_payload(edges=[["a1", "z9"]]), UnknownNodeError),
+    "self-loop": (_graph_payload(edges=[["a1", "a1"]]), CycleError),
+    "non-string-color": (
+        _graph_payload(nodes=[{"name": "a1", "color": 3}], edges=[]),
+        GraphError,
+    ),
+    "attrs-hold-color": (
+        _graph_payload(
+            nodes=[{"name": "a1", "color": "a", "attrs": {"color": "b"}}],
+            edges=[],
+        ),
+        GraphError,
+    ),
+    "three-item-edge": (_graph_payload(edges=[["a1", "b2", "a1"]]), GraphError),
+    "string-edge": (
+        _graph_payload(
+            nodes=[{"name": "a", "color": "a"}, {"name": "b", "color": "b"}],
+            edges=["ab"],
+        ),
+        GraphError,
+    ),
+    "non-string-name": (
+        _graph_payload(
+            nodes=[{"name": 1, "color": "a"}, {"name": "b2", "color": "b"}],
+            edges=[],
+        ),
+        GraphError,
+    ),
+    "empty-name": (
+        _graph_payload(nodes=[{"name": "", "color": "a"}], edges=[]),
+        GraphError,
+    ),
+}

@@ -65,6 +65,48 @@ class TestConstruction:
         dfg = diamond()
         assert dfg.n_edges == 4
 
+    def test_add_nodes_bulk_keeps_order_and_attrs(self):
+        dfg = DFG()
+        dfg.add_node("a0", "a")
+        dfg.add_nodes([("b1", "b", {"op": "sub"}), ("c2", "c", {})])
+        assert dfg.nodes == ("a0", "b1", "c2")
+        assert dfg.index("c2") == 2
+        assert dict(dfg.node("b1").attrs) == {"color": "b", "op": "sub"}
+
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            ([("b1", "b", {}), ("b1", "c", {})], DuplicateNodeError),
+            ([("b1", "b", {}), ("a0", "a", {})], DuplicateNodeError),
+            ([("b1", "b", {}), ("c2", "", {})], GraphError),
+            ([("b1", "b", {"color": "c"})], GraphError),
+        ],
+        ids=["repeat-in-batch", "already-present", "bad-color", "attrs-color"],
+    )
+    def test_add_nodes_is_all_or_none(self, batch, error):
+        dfg = DFG()
+        dfg.add_node("a0", "a")
+        before = dfg.nodes, dfg.n_edges
+        with pytest.raises(error):
+            dfg.add_nodes(batch)
+        assert (dfg.nodes, dfg.n_edges) == before
+        assert "b1" not in dfg.to_networkx()
+
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ([("a0", "b1"), ("b1", "z9")], UnknownNodeError),
+            ([("a0", "b1"), ("b1", "b1")], CycleError),
+        ],
+        ids=["unknown-endpoint", "self-loop"],
+    )
+    def test_add_edges_is_all_or_none(self, edges, error):
+        dfg = DFG()
+        dfg.add_nodes([("a0", "a", {}), ("b1", "b", {})])
+        with pytest.raises(error):
+            dfg.add_edges(edges)
+        assert dfg.n_edges == 0
+
 
 class TestOrdering:
     def test_nodes_iterate_in_insertion_order(self):

@@ -11,13 +11,16 @@ from repro.dfg.io import (
     dfg_digest,
     from_edge_list,
     from_json,
+    from_payload,
     stable_key_digest,
     stable_key_json,
     to_dot,
     to_edge_list,
     to_json,
+    to_payload,
 )
 from repro.exceptions import GraphError
+from tests.conftest import MALFORMED_GRAPHS
 
 
 class TestColorFromName:
@@ -64,6 +67,31 @@ class TestJson:
     def test_malformed_payload_rejected(self):
         with pytest.raises(GraphError, match="malformed"):
             from_json('{"nodes": [{"name": "x"}], "edges": []}')
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        list(MALFORMED_GRAPHS.values()),
+        ids=list(MALFORMED_GRAPHS),
+    )
+    def test_malformed_graph_raises_its_typed_error(self, payload, error):
+        with pytest.raises(GraphError) as exc:
+            from_payload(payload)
+        assert type(exc.value) is error
+
+    @pytest.mark.parametrize("payload", [[], "x", None])
+    def test_non_object_payload_rejected(self, payload):
+        with pytest.raises(GraphError, match="expected an object"):
+            from_payload(payload)
+
+    def test_payload_round_trip_keeps_attr_order(self):
+        dfg = DFG(name="g")
+        dfg.add_node("a1", "a", op="add", weight=2, tag="x")
+        dfg.add_node("b2", "b")
+        dfg.add_edge("a1", "b2")
+        restored = from_payload(to_payload(dfg))
+        assert list(restored.node("a1").attrs) == ["color", "op", "weight", "tag"]
+        assert to_payload(restored) == to_payload(dfg)
+        assert dfg_digest(restored) == dfg_digest(dfg)
 
 
 class TestEdgeList:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import brute_force_antichains
 
+from repro.core.config import SelectionConfig
 from repro.core.selection import select_patterns
 from repro.dfg.antichains import enumerate_antichains
 from repro.dfg.io import from_edge_list, from_json, to_edge_list, to_json
@@ -26,6 +27,7 @@ from repro.patterns.pattern import Pattern
 from repro.patterns.random_gen import random_pattern_set
 from repro.scheduling.node_priority import node_priorities, priority_rank_key
 from repro.scheduling.scheduler import MultiPatternScheduler
+from repro.service import JobRequest, JobResult, SchedulerService
 from repro.workloads.synthetic import layered_dag, random_dag
 
 # Deterministic, CI-friendly settings.
@@ -271,3 +273,26 @@ def test_edge_list_round_trip(params):
     )
     assert restored.nodes == dfg.nodes
     assert restored.edges() == dfg.edges()
+
+
+# --------------------------------------------------------------------------- #
+# result wire round trip
+# --------------------------------------------------------------------------- #
+_DECODE_CFG = SelectionConfig(span_limit=1, max_pattern_size=3)
+
+
+@COMMON
+@given(
+    st.one_of(
+        dag_params.map(lambda p: random_dag(*p)),
+        layered_params.map(lambda p: layered_dag(*p)),
+    ),
+    st.integers(3, 5),
+    st.integers(1, 4),
+)
+def test_result_decode_is_byte_identical(dfg, capacity, pdef):
+    job = JobRequest(capacity=capacity, pdef=pdef, dfg=dfg, config=_DECODE_CFG)
+    with SchedulerService() as service:
+        result = service.submit(job)
+    body = result.wire_body()
+    assert JobResult.from_json(body).wire_body() == body

@@ -14,6 +14,7 @@ Covers the `repro.service` contract:
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -394,11 +395,118 @@ class TestResultRoundTrip:
             assert list(counter) == list(result.selection.catalog.frequencies[p])
         assert restored.config == result.selection.config
 
+    def test_from_json_takes_the_wire_bytes(self, result):
+        body = result.wire_body()
+        assert JobResult.from_json(body).wire_body() == body
+
     def test_malformed_result_payload_is_typed(self):
         with pytest.raises(JobValidationError, match="malformed"):
             JobResult.from_dict({"job_key": "x"})
         with pytest.raises(JobValidationError, match="invalid job result"):
             JobResult.from_json("{nope")
+
+
+# --------------------------------------------------------------------------- #
+# result decode: byte identity and pattern interning
+# --------------------------------------------------------------------------- #
+_SMALL = SelectionConfig(span_limit=1, max_pattern_size=3)
+_WIDE = SelectionConfig(span_limit=1, max_pattern_size=3, widen_to_capacity=True)
+_CORPUS_GRAPHS = (
+    "3dft",
+    "5dft",
+    "fir8",
+    "iir2",
+    "dot8",
+    "matvec4",
+    "dct4",
+    "small-example",
+)
+
+
+def _warm_corpus() -> list[JobRequest]:
+    """The benchmark's warm-hits corpus: 68 registry jobs."""
+    jobs = [
+        JobRequest(capacity=capacity, pdef=pdef, workload=name, config=config)
+        for name in _CORPUS_GRAPHS
+        for capacity in (4, 5)
+        for pdef in (3, 4)
+        for config in (_SMALL, _WIDE)
+    ]
+    jobs += [
+        JobRequest(capacity=5, pdef=pdef, workload="fft16", config=config)
+        for pdef in (3, 4)
+        for config in (_SMALL, _WIDE)
+    ]
+    return jobs
+
+
+def _decoded_patterns(result: JobResult) -> list:
+    """Every Pattern a decoded result holds, wherever the payload named it."""
+    selection, catalog = result.selection, result.selection.catalog
+    found = list(result.schedule.library) + list(selection.library)
+    found += list(catalog.frequencies) + list(catalog.antichain_counts)
+    found += list(catalog.antichains)
+    for rnd in selection.rounds:
+        found += [*rnd.priorities, rnd.chosen, *rnd.deleted]
+    return found
+
+
+class TestResultDecode:
+    @pytest.fixture(scope="class")
+    def bodies(self) -> list[bytes]:
+        with SchedulerService() as service:
+            return [service.submit(job).wire_body() for job in _warm_corpus()]
+
+    def test_corpus_bodies_round_trip_byte_identical(self, bodies):
+        assert len(bodies) == 68
+        for body in bodies:
+            assert JobResult.from_json(body).wire_body() == body
+            assert JobResult.from_json(body.decode("utf-8")).wire_body() == body
+
+    def test_equal_bags_decode_to_one_pattern_object(self, bodies):
+        for body in bodies:
+            by_key: dict = {}
+            for pattern in _decoded_patterns(JobResult.from_json(body)):
+                by_key.setdefault(pattern.key, set()).add(id(pattern))
+            assert all(len(ids) == 1 for ids in by_key.values())
+
+    def test_results_do_not_share_pattern_objects(self, bodies):
+        # The table lives for one decode: two decodes of the same body
+        # build their own patterns.
+        a, b = JobResult.from_json(bodies[0]), JobResult.from_json(bodies[0])
+        assert a.selection.library[0] == b.selection.library[0]
+        assert a.selection.library[0] is not b.selection.library[0]
+
+    def test_concurrent_decodes_match_serial_decodes(self, bodies):
+        # More threads than cores and a short switch interval, so decodes
+        # interleave mid-payload; a table shared across decodes would
+        # hand one thread's patterns to another.
+        serial = [JobResult.from_json(body).wire_body() for body in bodies]
+        n_threads = 4
+        shares = [bodies[k::n_threads] for k in range(n_threads)]
+        out: list[list[bytes]] = [[] for _ in range(n_threads)]
+        start = threading.Barrier(n_threads)
+
+        def decode(k: int) -> None:
+            start.wait(timeout=30)
+            for _ in range(3):
+                out[k].extend(
+                    JobResult.from_json(body).wire_body() for body in shares[k]
+                )
+
+        threads = [threading.Thread(target=decode, args=(k,)) for k in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(n_threads):
+            assert out[k] == serial[k::n_threads] * 3
 
 
 # --------------------------------------------------------------------------- #

@@ -30,6 +30,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import MALFORMED_GRAPHS
+
 from repro.core.config import SelectionConfig
 from repro.core.selection import PatternSelector
 from repro.dfg.io import dfg_digest
@@ -377,6 +379,40 @@ class TestRequestFraming:
         )
         self._assert_single_400_close(reply, match)
         with ServiceClient(server.url, timeout=30) as client:
+            assert client.health()["status"] == "ok"
+
+
+class TestMalformedInlineGraphs:
+    @pytest.fixture(scope="class")
+    def graph_server(self):
+        server = AsyncServiceServer(port=0)
+        server.start_background()
+        yield server
+        server.shutdown()
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        list(MALFORMED_GRAPHS.values()),
+        ids=list(MALFORMED_GRAPHS),
+    )
+    def test_submit_answers_typed_400(self, graph_server, payload, error):
+        body = json.dumps({"capacity": 5, "pdef": 4, "dfg": payload})
+        conn = http.client.HTTPConnection("127.0.0.1", graph_server.port, timeout=30)
+        try:
+            conn.request(
+                "POST",
+                "/v1/jobs",
+                body=body.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            status, reply = resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
+        assert status == 400
+        assert reply["error"]["type"] == "JobValidationError"
+        assert reply["error"]["field"] == "dfg"
+        with ServiceClient(graph_server.url, timeout=30) as client:
             assert client.health()["status"] == "ok"
 
 
