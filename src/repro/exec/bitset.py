@@ -51,10 +51,26 @@ The key fits ``int64`` iff ``(n_nodes + 1) ** max_size < 2**63``; larger
 problems (and numpy-less installs) transparently fall back to the scalar
 classifier, so the backend is safe to use unconditionally.
 
+Seed groups
+-----------
+One BFS can classify several seed *groups* at once
+(:func:`classify_groups_bitset`): every frame carries the group of its
+root seed, and the census, frequency and first-seen accumulators are
+kept per composite ``(bag, group)`` bucket, so each group's output is
+exactly what a call with only that group's seeds would return.  The
+service classifies all cache-missing seed partitions of a cold graph
+this way, paying the per-call fixed cost (array setup, per-depth numpy
+dispatch, assembly) once instead of once per partition.
+:func:`classify_by_label_bitset` is the one-group case.
+
 Trade-off: the scalar DFS is O(depth) memory; the BFS materializes each
 cardinality frontier, i.e. O(live antichains) ``int64``s per depth,
 bounded by ``max_count`` (~80 MB per depth at the 5M default).  That is
 the price of vectorizing, and why ``max_count`` stays load-bearing here.
+A grouped call's frontier is the union of its groups' frontiers, so
+callers bound it per call: :func:`repro.exec.process.classify_partitions_rows`
+packs partitions only while their summed seed weight stays within a
+fixed budget, and heavy partitions run alone.
 
 The optional compiled extension (``repro/exec/_bitset_native.c``, built
 best-effort by ``setup.py build_ext --inplace``) accelerates only the
@@ -104,6 +120,7 @@ __all__ = [
     "bitset_availability",
     "bitset_supported",
     "classify_by_label_bitset",
+    "classify_groups_bitset",
     "packed_incomparable_rows",
 ]
 
@@ -231,6 +248,7 @@ def classify_by_label_bitset(
     the compiled expansion kernel).  Problems the vectorized core cannot
     represent (no numpy, or positional keys past ``int64``) run the
     scalar classifier transparently, so callers never need to gate.
+    This is the one-group case of :func:`classify_groups_bitset`.
     """
     dfg = enum.dfg
     n = dfg.n_nodes
@@ -244,6 +262,68 @@ def classify_by_label_bitset(
             allowed_mask=allowed_mask,
             roots=roots,
         )
+    group = range(n) if roots is None else roots
+    (rows,) = classify_groups_bitset(
+        enum,
+        labels,
+        max_size,
+        span_limit,
+        [group],
+        min_size=min_size,
+        max_count=max_count,
+        allowed_mask=allowed_mask,
+    )
+    # (Threshold read through the module so test monkeypatching of the
+    # spill regime applies to every classifier uniformly.)
+    spill = n >= _antichains.NUMPY_SPILL_THRESHOLD
+    out: dict[tuple[int, ...], LabelClassification] = {}
+    for key, count, first_seen, values in rows:
+        freq = np.zeros(n, dtype=np.int64)
+        freq[first_seen] = values
+        out[key] = LabelClassification(
+            count=count,
+            frequencies=freq if spill else freq.tolist(),
+            first_seen=first_seen,
+        )
+    return out
+
+
+def classify_groups_bitset(
+    enum: AntichainEnumerator,
+    labels: Sequence[int],
+    max_size: int,
+    span_limit: int | None,
+    groups: Sequence[Iterable[int]],
+    *,
+    min_size: int = 1,
+    max_count: int | None = DEFAULT_MAX_COUNT,
+    allowed_mask: int | None = None,
+) -> list[list[tuple]]:
+    """Classify several seed groups in one BFS; one row list per group.
+
+    Each group's rows are ``(bag_key, count, first_seen, values)`` with
+    ``values`` aligned to ``first_seen`` (plain ints), in the group's own
+    first-visit order — exactly what classifying that group's seeds on
+    their own (``roots=group``) yields, so callers can cache, ship and
+    merge each group's rows independently.  The call raises the
+    ``max_count`` :class:`~repro.exceptions.EnumerationLimitError` iff the
+    antichain total over *all* groups exceeds ``max_count``.
+
+    Every frame carries the group of its root seed; census, frequency
+    and first-seen keys accumulate per composite ``(bag, group)`` bucket,
+    numbered densely as pairs first occur, so the accumulators hold
+    exactly the rows the per-group calls would hold between them.
+
+    Requires :func:`bitset_supported`; callers fall back to the scalar
+    classifier when it is not (see :func:`classify_by_label_bitset` and
+    :func:`repro.exec.process.classify_partitions_rows`).
+    """
+    dfg = enum.dfg
+    n = dfg.n_nodes
+    if not bitset_supported(n, max_size):
+        raise GraphError(
+            f"the bitset core cannot classify {n} nodes at size {max_size}"
+        )
     enum._check_bounds(max_size, min_size, span_limit)
     if len(labels) != n:
         raise GraphError(f"labels has {len(labels)} entries for {n} nodes")
@@ -251,16 +331,20 @@ def classify_by_label_bitset(
     full = (1 << n) - 1
     if allowed_mask is not None:
         full &= allowed_mask
-    if roots is None:
-        seed_ids: Iterable[int] = range(n)
-    else:
-        seed_ids = sorted(set(roots))
-        for r in seed_ids:
+    n_groups = len(groups)
+    seeds: list[int] = []
+    seed_groups: list[int] = []
+    for g, roots in enumerate(groups):
+        roots = sorted(set(roots))
+        for r in roots:
             if not 0 <= r < n:
                 raise GraphError(f"root index {r} out of range for {n} nodes")
-    seeds = [i for i in seed_ids if full >> i & 1]
+        kept = [i for i in roots if full >> i & 1]
+        seeds += kept
+        seed_groups += [g] * len(kept)
+    out: list[list[tuple]] = [[] for _ in range(n_groups)]
     if not seeds:
-        return {}
+        return out
 
     inc, words = packed_incomparable_rows(dfg)
     full_row = _pack_mask(full, words)
@@ -288,6 +372,7 @@ def classify_by_label_bitset(
 
     # Depth-1 frontier: the seeds themselves.
     nodes_d = np.asarray(seeds, dtype=np.int64)
+    group_d = np.asarray(seed_groups, dtype=np.int64)
     parent_d = np.full(len(seeds), -1, dtype=np.int64)
     bucket_d = np.asarray(
         [bucket_of((int(labels_arr[i]),)) for i in seeds], dtype=np.int64
@@ -297,54 +382,77 @@ def classify_by_label_bitset(
     pk_d = (nodes_d + 1) * np.int64(scale[0])
     allowed_d = inc[nodes_d] & full_row if max_size > 1 else None
 
-    # Per-bucket accumulators, grown geometrically as bags appear.
+    # Composite (bag, group) buckets, numbered densely as pairs occur:
+    # `slot[bucket * n_groups + group]` is the pair's accumulator row (-1
+    # until it first occurs), `slot_code` maps rows back.  With one group
+    # a bag's row is its bucket.  All grown geometrically.
+    slot = np.full(16 * n_groups, -1, dtype=np.int64)
+    slot_code = np.empty(0, dtype=np.int64)
+    used = 0
     cap = 16
     cnt = np.zeros(cap, dtype=np.int64)
     minpk = np.full(cap, _INT64_MAX, dtype=np.int64)
     freq2d = np.zeros((cap, n), dtype=np.int64)
     minpk_node = np.full((cap, n), _INT64_MAX, dtype=np.int64)
 
-    def grow(needed: int) -> None:
-        nonlocal cap, cnt, minpk, freq2d, minpk_node
-        if needed <= cap:
-            return
-        new_cap = cap
-        while new_cap < needed:
-            new_cap *= 2
-        cnt = np.concatenate([cnt, np.zeros(new_cap - cap, dtype=np.int64)])
-        minpk = np.concatenate(
-            [minpk, np.full(new_cap - cap, _INT64_MAX, dtype=np.int64)]
-        )
-        freq2d = np.vstack(
-            [freq2d, np.zeros((new_cap - cap, n), dtype=np.int64)]
-        )
-        minpk_node = np.vstack(
-            [minpk_node, np.full((new_cap - cap, n), _INT64_MAX, dtype=np.int64)]
-        )
-        cap = new_cap
+    def slots_of(bucket, group):
+        """Accumulator rows of (bucket, group) frames, allocating new pairs."""
+        nonlocal slot, slot_code, used, cap, cnt, minpk, freq2d, minpk_node
+        if n_groups == 1:
+            rows = bucket
+            used = len(bag_keys)
+        else:
+            code = bucket * np.int64(n_groups) + group
+            if len(slot) < len(bag_keys) * n_groups:
+                grown = max(2 * len(slot), len(bag_keys) * n_groups)
+                slot = np.concatenate(
+                    [slot, np.full(grown - len(slot), -1, dtype=np.int64)]
+                )
+            rows = slot[code]
+            if (rows < 0).any():
+                seen = np.zeros(len(slot), dtype=bool)
+                seen[code] = True
+                new = np.nonzero(seen & (slot < 0))[0]
+                slot[new] = np.arange(used, used + len(new), dtype=np.int64)
+                slot_code = np.concatenate([slot_code, new])
+                used += len(new)
+                rows = slot[code]
+        if used > cap:
+            new_cap = cap
+            while new_cap < used:
+                new_cap *= 2
+            extra = new_cap - cap
+            cnt = np.concatenate([cnt, np.zeros(extra, dtype=np.int64)])
+            minpk = np.concatenate([minpk, np.full(extra, _INT64_MAX, dtype=np.int64)])
+            freq2d = np.vstack([freq2d, np.zeros((extra, n), dtype=np.int64)])
+            minpk_node = np.vstack(
+                [minpk_node, np.full((extra, n), _INT64_MAX, dtype=np.int64)]
+            )
+            cap = new_cap
+        return rows
 
     hist: list[tuple] = []  # (nodes, parent) per completed depth
     produced = 0
     depth = 1
     while True:
-        grow(len(bag_keys))
         if depth >= min_size:
             produced += len(nodes_d)
             if max_count is not None and produced > max_count:
                 raise enum._limit_error(max_count, max_size, span_limit)
-            np.add.at(cnt, bucket_d, 1)
-            np.minimum.at(minpk, bucket_d, pk_d)
+            acc = slots_of(bucket_d, group_d)
+            np.add.at(cnt, acc, 1)
+            np.minimum.at(minpk, acc, pk_d)
             # Frequency + first-seen scatter for every member of every
             # frame: the last member directly, earlier members through
             # the parent-frame chain (one gather per ancestor level).
-            np.add.at(freq2d, (bucket_d, nodes_d), 1)
-            np.minimum.at(minpk_node, (bucket_d, nodes_d), pk_d)
+            np.add.at(freq2d, (acc, nodes_d), 1)
+            np.minimum.at(minpk_node, (acc, nodes_d), pk_d)
             idx = parent_d
             for d2 in range(depth - 1, 0, -1):
                 nd, pd = hist[d2 - 1]
                 members = nd[idx]
-                np.add.at(freq2d, (bucket_d, members), 1)
-                np.minimum.at(minpk_node, (bucket_d, members), pk_d)
+                np.add.at(freq2d, (acc, members), 1)
+                np.minimum.at(minpk_node, (acc, members), pk_d)
                 idx = pd[idx]
         if depth == max_size:
             break
@@ -404,28 +512,43 @@ def classify_by_label_bitset(
         mx_d = np.maximum(mx_d[parents], asap[children])
         mn_d = np.minimum(mn_d[parents], alap[children])
         bucket_d = lut[inverse]
+        if n_groups > 1:
+            group_d = group_d[parents]
         parent_d = parents
         nodes_d = children
         allowed_d = nxt_allowed
         depth += 1
 
-    # Assembly: reconstruct the scalar first-visit orders from the keys.
-    # (Threshold read through the module so test monkeypatching of the
-    # spill regime applies to every classifier uniformly.)
-    spill = n >= _antichains.NUMPY_SPILL_THRESHOLD
-    order = [b for b in range(len(bag_keys)) if cnt[b] > 0]
-    order.sort(key=lambda b: int(minpk[b]))
-    out: dict[tuple[int, ...], LabelClassification] = {}
-    for b in order:
-        freq = freq2d[b]
-        present = np.nonzero(freq)[0]
-        row = minpk_node[b]
-        first_seen = present[np.lexsort((present, row[present]))]
-        out[bag_keys[b]] = LabelClassification(
-            count=int(cnt[b]),
-            frequencies=freq.copy() if spill else freq.tolist(),
-            first_seen=first_seen.tolist(),
+    # Assembly: reconstruct each group's scalar first-visit orders from
+    # the keys.  Bag order: a group's buckets sorted by their minimum
+    # counted key.  first_seen: per row, nodes sorted by (min key, node
+    # index) — a stable argsort over index order; absent nodes keep the
+    # sentinel key and sort last, past the row's present count.
+    if n_groups == 1:
+        slot_code = np.arange(used, dtype=np.int64)
+    live = np.nonzero(cnt[:used])[0]
+    live = live[np.lexsort((minpk[live], slot_code[live] % n_groups))]
+    bag_of = (slot_code[live] // n_groups).tolist()
+    group_of = (slot_code[live] % n_groups).tolist()
+    counts = cnt[live].tolist()
+    freqs = freq2d[live]
+    order = np.argsort(minpk_node[live], axis=1, kind="stable")
+    present = np.count_nonzero(freqs, axis=1)
+    # Only each row's present prefix crosses into python, as one flat list.
+    take = np.arange(n) < present[:, None]
+    first_seen = order[take].tolist()
+    values = np.take_along_axis(freqs, order, axis=1)[take].tolist()
+    start = 0
+    for r, end in enumerate(np.cumsum(present).tolist()):
+        out[group_of[r]].append(
+            (
+                bag_keys[bag_of[r]],
+                counts[r],
+                first_seen[start:end],
+                values[start:end],
+            )
         )
+        start = end
     return out
 
 

@@ -64,6 +64,7 @@ from repro.exceptions import BackendError, PatternError
 from repro.exec.bitset import (
     bitset_supported,
     classify_by_label_bitset,
+    classify_groups_bitset,
     packed_incomparable_rows,
 )
 from repro.exec.fused import FusedBackend
@@ -76,6 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ProcessBackend",
     "classify_partition_rows",
+    "classify_partitions_rows",
     "estimate_seed_weights",
     "plan_seed_partitions",
     "merge_classified_parts",
@@ -153,12 +155,13 @@ def classify_partition_rows(
 ) -> list[tuple]:
     """Classify one seed partition into JSON-safe sparse bucket rows.
 
-    The in-process flavour of :func:`_classify_seeds`, shared by the
-    service's shard endpoint and its edit-path partitioned rebuild: rows
-    are ``(bag_key, count, first_seen, values)`` with ``values`` aligned
-    to ``first_seen`` — always sparse plain ints, so a row list can be
+    The in-process flavour of :func:`_classify_seeds`, used by the
+    service's shard endpoint: rows are
+    ``(bag_key, count, first_seen, values)`` with ``values`` aligned to
+    ``first_seen`` — always sparse plain ints, so a row list can be
     cached on disk, shipped over HTTP, and fed straight back to
-    :func:`merge_classified_parts` on any instance.
+    :func:`merge_classified_parts` on any instance.  This is the
+    one-partition case of :func:`classify_partitions_rows`.
 
     ``engine`` selects the classification core — ``"auto"`` (default)
     runs the vectorized bitset classifier when this process supports it,
@@ -173,31 +176,119 @@ def classify_partition_rows(
             f"expected 'auto', 'bitset' or 'fused'"
         )
     if engine == "fused":
-        classify = enum.classify_by_label
-    else:
+        return _fused_partition_rows(
+            enum, labels, [seeds], size, span_limit, max_count
+        )[0]
+    return classify_partitions_rows(
+        enum, labels, [seeds], size, span_limit, max_count
+    )[0]
 
-        def classify(labels, size, span, **kwargs):
-            return classify_by_label_bitset(enum, labels, size, span, **kwargs)
 
-    buckets = classify(
-        labels,
-        size,
-        span_limit,
-        max_count=max_count,
-        roots=seeds,
-    )
-    out = []
-    for key, cls in buckets.items():
-        freq = cls.frequencies
-        out.append(
-            (
-                key,
-                cls.count,
-                list(cls.first_seen),
-                [int(freq[i]) for i in cls.first_seen],
-            )
+def classify_partitions_rows(
+    enum: AntichainEnumerator,
+    labels: Sequence[int],
+    partitions: Sequence[Sequence[int]],
+    size: int,
+    span_limit: int | None,
+    max_count: int | None,
+) -> list[list[tuple]]:
+    """Classify several seed partitions; one row list per partition.
+
+    Each partition's rows are exactly :func:`classify_partition_rows`'s
+    for that partition alone, so each can be cached under its own
+    partial key.  Consecutive partitions are packed into one bitset BFS
+    (:func:`repro.exec.bitset.classify_groups_bitset`) while their summed
+    :func:`estimate_seed_weights` stays within
+    :data:`_GROUP_WEIGHT_BUDGET`: that amortises the kernel's fixed
+    per-call cost over many small partitions and leaves heavy ones —
+    whose merged frontier would cost more memory than the call overhead
+    saves — one per call.  Problems the bitset core cannot represent run
+    the fused classifier partition by partition.
+
+    A packed call raises the ``max_count``
+    :class:`~repro.exceptions.EnumerationLimitError` when the antichain
+    total of the partitions *it* packs exceeds ``max_count`` (the fused
+    fallback checks the same total).  Merging all of a graph's partitions
+    (:func:`merge_classified_parts`) raises the same error whenever any
+    such group does, because the graph's total is at least the group's;
+    only the partitions of the raising call go unclassified.
+    """
+    if not bitset_supported(enum.dfg.n_nodes, size):
+        return _fused_partition_rows(
+            enum, labels, partitions, size, span_limit, max_count
+        )
+    out: list[list[tuple]] = []
+    for group in _pack_by_weight(enum.dfg, partitions):
+        out += classify_groups_bitset(
+            enum, labels, size, span_limit, group, max_count=max_count
         )
     return out
+
+
+def _fused_partition_rows(
+    enum: AntichainEnumerator,
+    labels: Sequence[int],
+    partitions: Sequence[Sequence[int]],
+    size: int,
+    span_limit: int | None,
+    max_count: int | None,
+) -> list[list[tuple]]:
+    """The scalar classifier's rows, one partition at a time."""
+    out: list[list[tuple]] = []
+    total = 0
+    for seeds in partitions:
+        buckets = enum.classify_by_label(
+            labels, size, span_limit, max_count=max_count, roots=seeds
+        )
+        rows = []
+        for key, cls in buckets.items():
+            freq = cls.frequencies
+            total += cls.count
+            rows.append(
+                (
+                    key,
+                    cls.count,
+                    list(cls.first_seen),
+                    [int(freq[i]) for i in cls.first_seen],
+                )
+            )
+        out.append(rows)
+    if max_count is not None and total > max_count:
+        raise limit_error(enum.dfg, max_count, size, span_limit)
+    return out
+
+
+#: Summed :func:`estimate_seed_weights` up to which consecutive seed
+#: partitions share one bitset BFS (:func:`classify_partitions_rows`).
+#: Measured, not tuned per call: every ``cold_stream`` graph of the
+#: repo benchmark weighs at most ~62k in total and runs as one call,
+#: while each FFT-16 (size 3) partition weighs ~57k and each FFT-64
+#: partition far more, so those — and an edit's dirty partitions on
+#: them — keep running one partition per call.
+_GROUP_WEIGHT_BUDGET = 1 << 16
+
+
+def _pack_by_weight(
+    dfg: "DFG", partitions: Sequence[Sequence[int]]
+) -> list[list[Sequence[int]]]:
+    """Consecutive runs of ``partitions`` within :data:`_GROUP_WEIGHT_BUDGET`.
+
+    A partition heavier than the budget on its own runs alone.
+    """
+    if len(partitions) < 2:
+        return [list(partitions)]
+    weights = _seed_weights(dfg)
+    groups: list[list[Sequence[int]]] = []
+    load = 0
+    for seeds in partitions:
+        w = sum(weights[s] for s in seeds)
+        if groups and load + w <= _GROUP_WEIGHT_BUDGET:
+            groups[-1].append(seeds)
+            load += w
+        else:
+            groups.append([seeds])
+            load = w
+    return groups
 
 
 def _split_contiguous(seeds: Sequence[int], partitions: int) -> list[list[int]]:
@@ -258,6 +349,21 @@ def estimate_seed_weights(
         above = universe >> (i + 1) << (i + 1)
         k = (above & ~comp[i]).bit_count()
         weights.append(1 + k + k * (k - 1) // 2)
+    return weights
+
+
+def _seed_weights(dfg: "DFG") -> list[int]:
+    """:func:`estimate_seed_weights` of every node, memoized per graph.
+
+    Stored on the graph's mutation-cleared analysis cache, so planning a
+    graph's partitions and packing them into classify calls popcount once.
+    """
+    cache = getattr(dfg, "_analysis_cache", None)
+    if cache is not None and "seed_weights" in cache:
+        return cache["seed_weights"]
+    weights = estimate_seed_weights(dfg, range(dfg.n_nodes))
+    if cache is not None:
+        cache["seed_weights"] = weights
     return weights
 
 
@@ -358,7 +464,10 @@ def plan_seed_partitions(
     seeds = [i for i in range(n) if full_mask >> i & 1]
     if not skew_aware:
         return _split_contiguous(seeds, partitions)
-    weights = estimate_seed_weights(dfg, seeds, allowed_mask=full_mask)
+    if allowed is None:
+        weights = _seed_weights(dfg)
+    else:
+        weights = estimate_seed_weights(dfg, seeds, allowed_mask=full_mask)
     return _split_weighted(seeds, weights, partitions)
 
 

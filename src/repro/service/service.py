@@ -80,6 +80,7 @@ from repro.exec import ExecutionBackend, get_backend
 from repro.exec.process import (
     ProcessBackend,
     classify_partition_rows,
+    classify_partitions_rows,
     merge_classified_parts,
     plan_seed_partitions,
 )
@@ -653,7 +654,34 @@ class SchedulerService:
                 policy=policy_label,
             )
             self._results.put(job_key, result)
+            if request.workload is None:
+                self._release_analysis(dfg)
             return SubmitOutcome(result=result, cache=cache_level)
+
+    #: Analysis-cache entries an inline graph keeps once its result is
+    #: cached: the content digest every later lookup keys by, the
+    #: memoized validation, and a process backend's pool-identity token
+    #: (not analysis, and dropping it would retire a warm pool).
+    _KEEP_ANALYSIS = ("dfg_digest", "service_validated", "process_pool_token")
+
+    def _release_analysis(self, dfg: DFG) -> None:
+        """Drop an inline graph's derived analysis once its result is cached.
+
+        ``JobResult.dfg`` keeps the graph alive in the result cache, and
+        with it the build-time caches on ``_analysis_cache``
+        (comparability and reachability masks, packed incomparable rows,
+        digest rows, adjacency, levels) — about a third of what a cold
+        build retains.  Inline graphs rarely come back, and a later
+        selection-level hit or edit recomputes whatever it needs, so only
+        :data:`_KEEP_ANALYSIS` survives.  Named workload graphs keep
+        everything: warm reads and edits against them use it.
+        """
+        if any(dfg is named for named in self._named_graphs.values()):
+            return
+        cache = dfg._analysis_cache
+        kept = {k: cache[k] for k in self._KEEP_ANALYSIS if k in cache}
+        cache.clear()
+        cache.update(kept)
 
     def _build_catalog(
         self,
@@ -665,17 +693,26 @@ class SchedulerService:
 
         For the fused backend (the service default) and the bitset
         backend — whose partition rows are bit-identical by contract —
-        the build runs seed partition by seed partition against the
-        content-addressed shard partial cache: partitions whose
-        :func:`~repro.dfg.io.subgraph_digest`-keyed partial is already
-        cached — because an *edited* graph shares them with its
-        predecessor, another instance computed them, or they survived on
-        disk — are served with **zero** enumeration DFS, and only the
-        rest are classified, with the merge in ascending-seed order
-        reproducing the monolithic fused build bit for bit
+        the build splits the graph into :data:`EDIT_PARTITIONS` seed
+        partitions and first probes every partition's
+        :func:`~repro.dfg.io.subgraph_digest`-keyed partial in the
+        content-addressed shard partial cache.  Partitions already cached
+        — because an *edited* graph shares them with its predecessor,
+        another instance computed them, or they survived on disk — are
+        served with **zero** enumeration.  The misses are classified
+        together by :func:`repro.exec.process.classify_partitions_rows`,
+        which packs light partitions into one bitset BFS (a cold graph
+        of a few dozen nodes is one call, not 16) and returns and caches
+        one row list per partition.  The merge in ascending-seed
+        order reproduces the monolithic fused build bit for bit
         (:func:`repro.exec.process.merge_classified_parts`).  Returns the
         catalog plus the number of partition cache hits (``> 0`` is what
         :data:`CACHE_LEVELS` reports as ``"edit"``).
+
+        An attempt whose classify call raises the ``max_count`` limit
+        (which the merge would raise anyway) caches none of the
+        partitions that call classified; the adaptive-span retry then
+        runs with other keys, so outcomes are unchanged.
 
         Other backends (process pools own their own partitioning;
         ``store_antichains`` needs the serial path) fall through to the
@@ -689,41 +726,38 @@ class SchedulerService:
             return selector.build_catalog(dfg, backend=backend), 0
 
         hits = 0
-        state: dict[str, Any] = {}
+        max_count = config.max_antichains
 
         def classify(size: int, span: "int | None") -> "PatternCatalog":
             nonlocal hits
-            parts: list[list[tuple]] = []
-            for seeds in plan_seed_partitions(dfg, EDIT_PARTITIONS):
-                key = shard_partial_key(
-                    dfg, seeds, size, span, config.max_antichains
-                )
-                cached = self._shard_parts.get(key)
-                if cached is not None:
-                    self.stats.partition_hits += 1
-                    hits += 1
-                    parts.append(cached)
-                    continue
-                self.stats.partition_misses += 1
-                if "enum" not in state:
-                    state["enum"] = AntichainEnumerator(dfg)
-                    state["labels"] = dfg.color_labels()[0]
-                rows = classify_partition_rows(
-                    state["enum"],
-                    state["labels"],
-                    seeds,
+            plan = plan_seed_partitions(dfg, EDIT_PARTITIONS)
+            keys = [
+                shard_partial_key(dfg, seeds, size, span, max_count)
+                for seeds in plan
+            ]
+            parts = [self._shard_parts.get(key) for key in keys]
+            missing = [i for i, rows in enumerate(parts) if rows is None]
+            self.stats.partition_hits += len(plan) - len(missing)
+            self.stats.partition_misses += len(missing)
+            hits += len(plan) - len(missing)
+            if missing:
+                fresh = classify_partitions_rows(
+                    AntichainEnumerator(dfg),
+                    dfg.color_labels()[0],
+                    [plan[i] for i in missing],
                     size,
                     span,
-                    config.max_antichains,
+                    max_count,
                 )
-                self._shard_parts.put(key, rows)
-                parts.append(rows)
+                for i, rows in zip(missing, fresh):
+                    self._shard_parts.put(keys[i], rows)
+                    parts[i] = rows
             return merge_classified_parts(
                 dfg,
                 parts,
                 capacity=size,
                 span_limit=span,
-                max_count=config.max_antichains,
+                max_count=max_count,
             )
 
         return selector.build_catalog_with(dfg, classify), hits
@@ -822,8 +856,10 @@ class SchedulerService:
         """Classify one seed-node partition of a catalog job (shard work).
 
         The executor side of :class:`~repro.service.shard.ShardCoordinator`:
-        runs the fused in-DFS classifier restricted to the task's seed
-        subtrees (``classify_by_label(roots=...)``) and returns the
+        classifies the task's seed subtrees with
+        :func:`~repro.exec.process.classify_partition_rows` (the bitset
+        BFS where this process supports it, else the fused in-DFS
+        classifier — identical rows either way) and returns the
         partial classification as ``(bag_key, count, first_seen, values)``
         tuples in local first-visit order — ``values`` aligned with
         ``first_seen``, everything JSON-safe so the HTTP layer is a pipe —

@@ -35,9 +35,15 @@ from repro.exec.bitset import (
     bitset_availability,
     bitset_supported,
     classify_by_label_bitset,
+    classify_groups_bitset,
     packed_incomparable_rows,
 )
-from repro.exec.process import classify_partition_rows, estimate_seed_weights
+from repro.exec.process import (
+    classify_partition_rows,
+    classify_partitions_rows,
+    estimate_seed_weights,
+    plan_seed_partitions,
+)
 from repro.patterns.enumeration import classify_antichains
 from repro.pipeline import Pipeline
 from repro.workloads import small_example, three_point_dft_paper
@@ -411,3 +417,133 @@ def test_spill_regime_identical(monkeypatch):
     assert all(
         isinstance(c.frequencies, np.ndarray) for c in buckets.values()
     )
+
+
+# --------------------------------------------------------------------------- #
+# grouped partitions: one BFS, one row list per partition
+# --------------------------------------------------------------------------- #
+
+
+def _fused_rows(dfg, plan, size, span, max_count=None):
+    enum = AntichainEnumerator(dfg)
+    labels, _ = dfg.color_labels()
+    return [
+        classify_partition_rows(
+            enum, labels, seeds, size, span, max_count, engine="fused"
+        )
+        for seeds in plan
+    ]
+
+
+@st.composite
+def _grouped_case(draw):
+    """A graph, a random contiguous seed plan and a random grouping of it."""
+    dfg, size, span = draw(_random_case())
+    n = dfg.n_nodes
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=min(n - 1, 8))))
+    bounds = [0, *cuts, n]
+    plan = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    splits = sorted(
+        draw(st.sets(st.integers(1, len(plan)), max_size=len(plan))) | {len(plan)}
+    )
+    groups, start = [], 0
+    for end in splits:
+        groups.append(plan[start:end])
+        start = end
+    return dfg, size, span, plan, groups
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_grouped_case())
+def test_hypothesis_grouped_rows_equal_per_partition(case):
+    dfg, size, span, plan, groups = case
+    enum = AntichainEnumerator(dfg)
+    labels, _ = dfg.color_labels()
+    expected = _fused_rows(dfg, plan, size, span)
+    grouped = []
+    for group in groups:
+        grouped += classify_groups_bitset(enum, labels, size, span, group)
+    assert grouped == expected
+    packed = classify_partitions_rows(enum, labels, plan, size, span, None)
+    assert packed == expected
+
+
+def test_grouped_rows_equal_per_partition_on_fft():
+    for points, size in [(16, 3), (64, 2)]:
+        dfg = radix2_fft(points)
+        plan = plan_seed_partitions(dfg, 16)
+        enum = AntichainEnumerator(dfg)
+        labels, _ = dfg.color_labels()
+        expected = [
+            classify_partition_rows(enum, labels, seeds, size, 1, None)
+            for seeds in plan
+        ]
+        # All partitions in one BFS — what the weight budget never does
+        # on these graphs — must still give each partition its own rows.
+        assert classify_groups_bitset(enum, labels, size, 1, plan) == expected
+
+
+def test_weight_budget_packing():
+    from repro.exec.process import _pack_by_weight
+
+    # A small graph packs whole; each FFT-16 (size 3) partition weighs
+    # close to the budget on its own, so they keep one call each.
+    small = layered_dag(5, layers=10, width=8)
+    plan = plan_seed_partitions(small, 16)
+    assert _pack_by_weight(small, plan) == [plan]
+    fft = radix2_fft(16)
+    plan = plan_seed_partitions(fft, 16)
+    assert _pack_by_weight(fft, plan) == [[seeds] for seeds in plan]
+
+
+@pytest.mark.parametrize("supported", [True, False])
+def test_group_limit_raises_iff_total_exceeds(monkeypatch, supported):
+    from repro.exec.process import merge_classified_parts
+
+    dfg = layered_dag(9, layers=6, width=5, colors=("a", "b", "c"))
+    size, span = 3, 2
+    plan = plan_seed_partitions(dfg, 6)
+    per = _fused_rows(dfg, plan, size, span)
+    group = plan[1:4]
+    total = sum(count for rows in per[1:4] for _, count, _, _ in rows)
+    if not supported:
+        monkeypatch.setattr(bitset_mod, "np", None)
+    enum = AntichainEnumerator(dfg)
+    labels, _ = dfg.color_labels()
+    # At the boundary: no error, the group's own rows.
+    got = classify_partitions_rows(enum, labels, group, size, span, total)
+    assert got == per[1:4]
+    # One past it: the merge's exact error.
+    with pytest.raises(EnumerationLimitError) as merged:
+        merge_classified_parts(
+            dfg, per, capacity=size, span_limit=span, max_count=total - 1
+        )
+    with pytest.raises(EnumerationLimitError) as grouped:
+        classify_partitions_rows(enum, labels, group, size, span, total - 1)
+    assert str(grouped.value) == str(merged.value)
+    if supported:
+        with pytest.raises(EnumerationLimitError) as kernel:
+            classify_groups_bitset(
+                enum, labels, size, span, group, max_count=total - 1
+            )
+        assert str(kernel.value) == str(merged.value)
+
+
+def test_grouped_key_overflow_falls_back_to_fused():
+    from tests.conftest import chain
+
+    dfg = chain(120)
+    size = 10
+    assert not bitset_supported(dfg.n_nodes, size)
+    plan = plan_seed_partitions(dfg, 16)
+    enum = AntichainEnumerator(dfg)
+    labels, _ = dfg.color_labels()
+    expected = _fused_rows(dfg, plan, size, None)
+    packed = classify_partitions_rows(enum, labels, plan, size, None, None)
+    assert packed == expected
+    with pytest.raises(GraphError, match="cannot classify"):
+        classify_groups_bitset(enum, labels, size, None, plan)

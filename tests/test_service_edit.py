@@ -28,7 +28,8 @@ from repro.dfg.graph import DFG
 from repro.dfg.io import subgraph_digest
 from repro.exceptions import JobValidationError
 from repro.exec import get_backend
-from repro.exec.process import plan_seed_partitions
+from repro.dfg.antichains import AntichainEnumerator
+from repro.exec.process import classify_partition_rows, plan_seed_partitions
 from repro.service import (
     AsyncServiceServer,
     EditRequest,
@@ -37,7 +38,7 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service.serialize import catalog_to_dict
-from repro.service.service import EDIT_PARTITIONS
+from repro.service.service import EDIT_PARTITIONS, shard_partial_key
 from repro.workloads.fft import radix2_fft
 from repro.workloads.synthetic import layered_dag, random_dag
 
@@ -141,13 +142,13 @@ class TestIncrementalRebuild:
         import repro.service.service as service_mod
 
         enumerated: list[tuple[int, ...]] = []
-        original = service_mod.classify_partition_rows
+        original = service_mod.classify_partitions_rows
 
-        def spy(enum, labels, seeds, size, span_limit, max_count):
-            enumerated.append(tuple(seeds))
-            return original(enum, labels, seeds, size, span_limit, max_count)
+        def spy(enum, labels, partitions, size, span_limit, max_count):
+            enumerated.extend(tuple(seeds) for seeds in partitions)
+            return original(enum, labels, partitions, size, span_limit, max_count)
 
-        monkeypatch.setattr(service_mod, "classify_partition_rows", spy)
+        monkeypatch.setattr(service_mod, "classify_partitions_rows", spy)
 
         base = radix2_fft(8)
         edit_op = _interning_stable_recolor(base)
@@ -214,6 +215,100 @@ class TestIncrementalRebuild:
             svc.clear_caches()
             outcome = svc.submit_outcome(job)
             assert outcome.cache == "none"  # full clear drops partials too
+
+
+# --------------------------------------------------------------------------- #
+# cold builds: grouped classification of the cache-missing partitions
+# --------------------------------------------------------------------------- #
+class TestGroupedColdBuild:
+    def test_cold_build_is_one_bfs_with_per_partition_partials(self, monkeypatch):
+        import repro.exec.process as process_mod
+
+        calls: list[int] = []
+        original = process_mod.classify_groups_bitset
+
+        def spy(enum, labels, size, span, groups, **kwargs):
+            calls.append(len(groups))
+            return original(enum, labels, size, span, groups, **kwargs)
+
+        monkeypatch.setattr(process_mod, "classify_groups_bitset", spy)
+        dfg = layered_dag(5, layers=10, width=8)
+        job = JobRequest(capacity=3, pdef=3, dfg=dfg, config=CFG)
+        with SchedulerService() as svc:
+            svc.submit(job)
+            assert svc.stats.partition_misses == EDIT_PARTITIONS
+            assert calls == [EDIT_PARTITIONS]
+            enum = AntichainEnumerator(dfg)
+            labels, _ = dfg.color_labels()
+            max_count = CFG.max_antichains
+            for seeds in plan_seed_partitions(dfg, EDIT_PARTITIONS):
+                key = shard_partial_key(dfg, seeds, 3, 1, max_count)
+                assert svc.get_shard_partial(key) == classify_partition_rows(
+                    enum, labels, seeds, 3, 1, max_count, engine="fused"
+                )
+
+    def test_adaptive_span_under_small_limit_matches_serial(self):
+        # The graph packs into one grouped call, so the unbounded-span
+        # attempt raises on the group's total although every partition
+        # alone fits the limit.
+        dfg = layered_dag(7, layers=8, width=6)
+        capacity = 3
+
+        def total(span):
+            catalog = PatternSelector(
+                capacity, config=SelectionConfig(span_limit=span)
+            ).build_catalog(dfg, backend=get_backend("fused"))
+            return sum(catalog.antichain_counts.values())
+
+        limit = total(1)
+        enum = AntichainEnumerator(dfg)
+        labels, _ = dfg.color_labels()
+        largest = 0
+        for seeds in plan_seed_partitions(dfg, EDIT_PARTITIONS):
+            rows = classify_partition_rows(enum, labels, seeds, capacity, None, None)
+            largest = max(largest, sum(row[1] for row in rows))
+        assert largest <= limit < total(None)
+        config = SelectionConfig(span_limit=None, max_antichains=limit)
+        job = JobRequest(capacity=capacity, pdef=3, dfg=dfg, config=config)
+
+        with SchedulerService() as svc:
+            catalog, _ = svc._build_catalog(
+                dfg, PatternSelector(capacity, config=config), get_backend("fused")
+            )
+            got = svc.submit(job)
+        reference = PatternSelector(capacity, config=config).build_catalog(
+            dfg, backend=get_backend("serial")
+        )
+        assert catalog_to_dict(catalog) == catalog_to_dict(reference)
+        assert catalog.span_limit == 1
+        with SchedulerService(backend="serial") as serial:
+            expected = serial.submit(job)
+        assert got.answer_dict() == expected.answer_dict()
+
+    def test_released_inline_graph_answers_bit_identically(self):
+        dfg = layered_dag(11, layers=9, width=7)
+        job = JobRequest(capacity=3, pdef=3, dfg=dfg, config=CFG)
+        edits = (_interning_stable_recolor(dfg),)
+        with SchedulerService() as svc:
+            svc.submit(job)
+            # The result cache pins the graph, not its build-time analysis.
+            assert "dfg_digest" in dfg._analysis_cache
+            assert set(dfg._analysis_cache) <= set(svc._KEEP_ANALYSIS)
+            other = svc.submit_outcome(dataclasses.replace(job, priority="f1"))
+            assert other.cache == "selection"
+            edited = svc.submit_edit_outcome(EditRequest(job=job, edits=edits))
+            assert edited.cache == "edit"
+            # Named workload graphs keep their analysis for warm reads.
+            svc.submit(JobRequest(capacity=3, pdef=3, workload="fft8", config=CFG))
+            assert "comparability_masks" in svc._named_graphs["fft8"]._analysis_cache
+        fresh = layered_dag(11, layers=9, width=7)
+        with SchedulerService() as cold:
+            ref_other = cold.submit(dataclasses.replace(job, priority="f1", dfg=fresh))
+            ref_edit = cold.submit(
+                dataclasses.replace(job, dfg=apply_edits(fresh, edits))
+            )
+        assert other.result.answer_dict() == ref_other.answer_dict()
+        assert edited.result.answer_dict() == ref_edit.answer_dict()
 
 
 # --------------------------------------------------------------------------- #
